@@ -12,8 +12,8 @@ from . import gadgets, transform
 from .formula import FormulaError, ParseError, parse
 from .frames import FrameError, LoadError, load_model, model_to_json
 from .semantics import SemanticsError, holds
-from .solver import (SAT, UNSAT, UNSAT_WITHIN_BOUND, SolverError, sat_bounded,
-                     sat_forks, solve)
+from .solver import (SAT, UNSAT, UNSAT_WITHIN_BOUND, SolverError, forks_decide,
+                     sat_bounded, sat_forks, solve)
 
 EXIT_SAT = 10
 EXIT_UNSAT = 20
@@ -219,11 +219,7 @@ def _corpus_entry_ok(entry) -> bool:
                        entry.bound or 8)
         return result.status in (UNSAT, UNSAT_WITHIN_BOUND)
     if entry.bound is None:
-        tag = F.classify(entry.formula)
-        complete = tag in ("B", "RCC8", "C", "Cm") and (
-            entry.frame_class == "regc"
-            or (entry.frame_class == "conregc" and tag in ("B", "RCC8")))
-        if not complete:
+        if not forks_decide(F.classify(entry.formula), entry.frame_class):
             # no affordable complete search; witness check above decides
             return entry.expected == "SAT" and entry.witness is not None
         result = solve(entry.formula, entry.frame_class)
@@ -330,7 +326,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (UsageError, FormulaError, FrameError, LoadError, SemanticsError,
-            SolverError, gadgets.GadgetError, OSError) as exc:
+            SolverError, transform.TransformError, gadgets.GadgetError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -214,12 +214,21 @@ def neq(t1, t2):
 # ---------------------------------------------------------------------------
 # Traversal helpers
 
+_BINARY_TERMS = (Sum, Prod, Union, Inter)
+_UNARY_TERMS = (Compl, SetCompl, Interior, Closure)
+
+
 def subterms(t: Term) -> Iterator[Term]:
-    yield t
-    for name in ("left", "right", "arg"):
-        child = getattr(t, name, None)
-        if isinstance(child, Term):
-            yield from subterms(child)
+    """t and every subterm of it, in left-to-right preorder."""
+    stack = [t]
+    while stack:
+        s = stack.pop()
+        yield s
+        if isinstance(s, _BINARY_TERMS):
+            stack.append(s.right)
+            stack.append(s.left)
+        elif isinstance(s, _UNARY_TERMS):
+            stack.append(s.arg)
 
 
 def atoms(f: Formula) -> Iterator[Formula]:
@@ -392,14 +401,103 @@ def eval_prop(p: PropFormula, assignment: Dict[int, bool]) -> bool:
     return (not eval_prop(p[1], assignment)) or eval_prop(p[2], assignment)
 
 
+class _ThreeValued:
+    """A skeleton flattened into nodes whose Kleene values are refined
+    upwards from each assigned letter and restored through a trail."""
+
+    def __init__(self, p: PropFormula):
+        self.op: List[str] = []
+        self.args: List[List[int]] = []
+        self.parent: List[int] = []
+        self.leaves: Dict[int, List[int]] = {}
+        stack = [(p, -1)]
+        while stack:
+            g, parent = stack.pop()
+            k = len(self.op)
+            self.parent.append(parent)
+            self.args.append([])
+            if parent >= 0:
+                self.args[parent].append(k)
+            if isinstance(g, int):
+                self.op.append("letter")
+                self.leaves.setdefault(g, []).append(k)
+            else:
+                self.op.append(g[0])
+                stack.extend((child, k) for child in reversed(g[1:]))
+        self.value: List[Optional[bool]] = [None] * len(self.op)
+        self.trail: List[int] = []
+
+    def _eval(self, k: int) -> Optional[bool]:
+        op, args, value = self.op[k], self.args[k], self.value
+        a = value[args[0]]
+        if op == "not":
+            return None if a is None else not a
+        b = value[args[1]]
+        if op == "imp":
+            a = None if a is None else not a
+            op = "or"
+        if op == "and":
+            if a is False or b is False:
+                return False
+            return True if (a is True and b is True) else None
+        if a is True or b is True:
+            return True
+        return False if (a is False and b is False) else None
+
+    def assign(self, letter: int, truth: bool):
+        """Values only go from None to a truth value, so propagation stops
+        at the first node that stays undetermined or already was set."""
+        value, parent = self.value, self.parent
+        for k in self.leaves[letter]:
+            value[k] = truth
+            self.trail.append(k)
+            k = parent[k]
+            while k >= 0 and value[k] is None:
+                new = self._eval(k)
+                if new is None:
+                    break
+                value[k] = new
+                self.trail.append(k)
+                k = parent[k]
+
+    def undo(self, mark: int):
+        while len(self.trail) > mark:
+            self.value[self.trail.pop()] = None
+
+
 def literal_sets(p: PropFormula, table: Dict[int, Formula]) -> Iterator[FrozenSet[int]]:
-    """Satisfying complete assignments as sets of signed letters."""
+    """Satisfying complete assignments as sets of signed letters, in the
+    order of a binary count whose most significant bit is the highest
+    letter. A depth-first search assigns letters from the highest down,
+    False before True, and cuts a branch as soon as the three-valued
+    value of the skeleton is False; `eval_prop` over every assignment
+    gives the same sequence."""
     letters = sorted(table)
     n = len(letters)
-    for mask in range(1 << n):
-        assignment = {letters[i]: bool(mask >> i & 1) for i in range(n)}
-        if eval_prop(p, assignment):
-            yield frozenset(l if assignment[l] else -l for l in letters)
+    skeleton = _ThreeValued(p)
+    truth = [False] * n
+    tried = [0] * n      # values tried at each letter: none, False, both
+    marks = [0] * n
+    i = n - 1
+    while i < n:
+        if i < 0:
+            yield frozenset(l if t else -l for l, t in zip(letters, truth))
+            i = 0
+            continue
+        if tried[i] == 2:
+            skeleton.undo(marks[i])
+            tried[i] = 0
+            i += 1
+            continue
+        if tried[i] == 1:
+            skeleton.undo(marks[i])
+        else:
+            marks[i] = len(skeleton.trail)
+        truth[i] = tried[i] == 1
+        tried[i] += 1
+        skeleton.assign(letters[i], truth[i])
+        if skeleton.value[0] is not False:
+            i -= 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,15 @@
 """Decision procedures.
 
-Two routes. `sat_forks` is the complete NP procedure for contact
-languages without connectedness predicates: guess a satisfying literal
-set of the propositional skeleton, then realize each existential
-literal on its own fork, with universal literals filtering the
-admissible depth-0 point types. `sat_bounded` is an iterative-deepening
-search over canonical quasi-saws (linear fences in fence mode) with
-depth-0 supports driving the valuations; it reports a complete verdict
-only when the requested bound reaches the theoretical finite-model
-bound of the input.
+Two routes; `forks_decide` says which one a language takes. `sat_forks`
+is the complete NP procedure for contact languages without
+connectedness predicates: a pruned search over the propositional
+skeleton yields satisfying literal sets, and each existential literal
+is realized on its own fork, whose tooth types a bit-level search finds
+on demand among those the universal literals admit. `sat_bounded` is
+an iterative-deepening search over canonical quasi-saws (linear fences
+in fence mode) with depth-0 supports driving the valuations; it reports
+a complete verdict only when the requested bound reaches the
+theoretical finite-model bound of the input.
 
 Every satisfying result is re-verified against the plain model checker
 before it is returned.
@@ -127,53 +128,122 @@ def _tv_memb(t: F.Term, assign: List[Optional[bool]],
     raise SolverError(f"not a term: {t!r}")
 
 
-def _admissible_types(variables: Sequence[str], var_index: Dict[str, int],
+def _var_indices(terms: Iterable[F.Term], var_index: Dict[str, int]) -> set:
+    return {var_index[x.name] for t in terms
+            for x in F.subterms(t) if isinstance(x, F.Var)}
+
+
+class _ToothTypes:
+    """Depth-0 point types avoiding every zero term and every forbidden
+    contact realized at a single point, found on demand. The search
+    assigns variable bits in index order, False before True, and cuts a
+    branch once a violation is forced or the wanted term is surely
+    missed. Whether a prefix of bits forces a violation is kept across
+    searches, and each wanted term's types are kept as a lazily extended
+    list, because `_find_fork` backtracks over them."""
+
+    def __init__(self, var_index: Dict[str, int], zero_terms: Sequence[F.Term],
+                 ncontact_terms: Sequence[Sequence[F.Term]]):
+        self.var_index = var_index
+        self.nodes = 0
+        self._found: Dict[F.Term, _LazyList] = {}
+        self._dead: Dict[Tuple[int, int], bool] = {}
+        # a constraint can only flip to violated when one of its own
+        # variables gets assigned, so watch each constraint there
+        self.watch: List[List] = [[] for _ in var_index]
+        checks = [[t] for t in zero_terms] + [list(s) for s in ncontact_terms]
+        constant = []
+        for check in checks:
+            at = _var_indices(check, var_index)
+            if not at:
+                constant.append(check)
+            for i in at:
+                self.watch[i].append(check)
+        self.blocked = any(self._violated(c, [None] * len(var_index))
+                           for c in constant)
+
+    def _violated(self, check, assign) -> bool:
+        for t in check:
+            if _tv_memb(t, assign, self.var_index) is not True:
+                return False
+        return True
+
+    def _cut(self, i: int, assign) -> bool:
+        for check in self.watch[i]:
+            if self._violated(check, assign):
+                return True
+        return False
+
+    def of(self, want: F.Term) -> "_LazyList":
+        """The types in `want`, in search order."""
+        found = self._found.get(want)
+        if found is None:
+            found = self._found[want] = _LazyList(self.search(want))
+        return found
+
+    def search(self, want: Optional[F.Term]) -> Iterator[int]:
+        """The types in `want` (every type for None), in search order."""
+        var_index = self.var_index
+        v = len(var_index)
+        assign: List[Optional[bool]] = [None] * v   # owned by this search
+        wanted = _var_indices([want] if want is not None else [], var_index)
+        if self.blocked or (want is not None
+                            and _tv_memb(want, assign, var_index) is False):
+            return
+        tried = [0] * v      # values tried at each bit: none, False, both
+        prefix = 0           # the assigned bits as a mask
+        i = 0
+        while i >= 0:
+            if i == v:
+                yield prefix
+                i -= 1
+                continue
+            if tried[i] == 2:
+                tried[i] = 0
+                assign[i] = None
+                prefix &= ~(1 << i)
+                i -= 1
+                continue
+            assign[i] = tried[i] == 1
+            tried[i] += 1
+            prefix |= assign[i] << i
+            self.nodes += 1
+            dead = self._dead.get((i, prefix))
+            if dead is None:
+                dead = self._dead[i, prefix] = self._cut(i, assign)
+            if dead:
+                continue
+            if i in wanted and _tv_memb(want, assign, var_index) is False:
+                continue
+            i += 1
+
+
+class _LazyList:
+    """The items of one generator, drawn on first need and kept, so that
+    several iterations, nested ones included, share one run of it."""
+
+    def __init__(self, source: Iterator[int]):
+        self._items: List[int] = []
+        self._source: Optional[Iterator[int]] = source
+
+    def __iter__(self) -> Iterator[int]:
+        i = 0
+        while True:
+            if i == len(self._items):
+                item = next(self._source, None) if self._source else None
+                if item is None:
+                    self._source = None
+                    return
+                self._items.append(item)
+            yield self._items[i]
+            i += 1
+
+
+def _admissible_types(var_index: Dict[str, int],
                       zero_terms: Sequence[F.Term],
                       ncontact_terms: Sequence[Sequence[F.Term]]) -> List[int]:
-    """Depth-0 point types avoiding every zero term and every forbidden
-    contact realized at a single point. Backtracks over variable bits,
-    pruning branches whose violation is already forced."""
-    v = len(variables)
-    assign: List[Optional[bool]] = [None] * v
-    out: List[int] = []
-
-    # a constraint can only flip to violated when one of its own
-    # variables gets assigned, so watch each constraint there
-    watch: List[List] = [[] for _ in range(v)]
-    checks = [("zero", t) for t in zero_terms]
-    checks += [("ncontact", sigma) for sigma in ncontact_terms]
-    constant = []
-    for check in checks:
-        kind, payload = check
-        terms = [payload] if kind == "zero" else list(payload)
-        names = {x.name for t in terms
-                 for x in F.subterms(t) if isinstance(x, F.Var)}
-        if not names:
-            constant.append(check)
-        for name in names:
-            watch[var_index[name]].append(check)
-
-    def violated(check):
-        kind, payload = check
-        if kind == "zero":
-            return _tv_memb(payload, assign, var_index) is True
-        return all(_tv_memb(s, assign, var_index) is True for s in payload)
-
-    if any(violated(c) for c in constant):
-        return []
-
-    def go(i):
-        if i == v:
-            out.append(sum(1 << k for k in range(v) if assign[k]))
-            return
-        for b in (False, True):
-            assign[i] = b
-            if not any(violated(c) for c in watch[i]):
-                go(i + 1)
-        assign[i] = None
-
-    go(0)
-    return out
+    """Every admissible depth-0 point type, in search order."""
+    return list(_ToothTypes(var_index, zero_terms, ncontact_terms).search(None))
 
 
 def fork_bound(f: Formula) -> int:
@@ -188,17 +258,27 @@ def fork_bound(f: Formula) -> int:
     return total
 
 
+def forks_decide(tag: str, frame_class: str) -> bool:
+    """Whether the complete fork procedure decides the language `tag`
+    over `frame_class`: the contact languages without connectedness
+    atoms over regc, and their Boolean and RCC8 fragments over conregc,
+    where one extra point connects a disjoint union of forks."""
+    if tag not in ("B", "RCC8", "C", "Cm"):
+        return False
+    return frame_class == "regc" or (frame_class == "conregc"
+                                     and tag in ("B", "RCC8"))
+
+
 def theoretical_bound(f: Formula, frame_class: str) -> Optional[int]:
     """Finite-model size bound justifying a complete refutation, when known."""
+    return _theoretical_bound(f, frame_class, F.classify(f))
+
+
+def _theoretical_bound(f: Formula, frame_class: str, tag: str) -> Optional[int]:
     if frame_class == "fence":
         return None
-    tag = F.classify(f)
-    if tag in ("B", "RCC8", "C", "Cm"):
-        if frame_class == "regc":
-            return fork_bound(f)
-        if frame_class == "conregc" and tag in ("B", "RCC8"):
-            # one extra point connects a disjoint union of forks
-            return fork_bound(f) + 1
+    if forks_decide(tag, frame_class):
+        return fork_bound(f) + (frame_class == "conregc")
     return 2 ** len(F.subterm_closure(f))
 
 
@@ -209,14 +289,14 @@ def sat_forks(f: Formula, frame_class: str = "regc") -> SolveResult:
     """Complete satisfiability for contact formulas without
     connectedness atoms, over the regular-closed frame classes."""
     tag = F.classify(f)
-    if tag not in ("B", "RCC8", "C", "Cm"):
-        raise SolverError(f"fork procedure takes contact formulas without "
-                          f"connectedness atoms, got {tag}")
-    if frame_class not in ("regc", "conregc"):
-        raise SolverError("fork procedure decides the regular-closed classes")
-    if frame_class == "conregc" and tag not in ("B", "RCC8"):
-        raise SolverError("over connected spaces the fork procedure covers "
-                          "the Boolean and binary-relation fragments only")
+    if not forks_decide(tag, frame_class):
+        raise SolverError(f"the fork procedure decides B, RCC8, C and Cm over "
+                          f"regc and B and RCC8 over conregc, got {tag} over "
+                          f"{frame_class}")
+    return _sat_forks(f, frame_class, tag)
+
+
+def _sat_forks(f: Formula, frame_class: str, tag: str) -> SolveResult:
     start = time.monotonic()
     g = eq_normalize(rcc8_to_c(f))
     skeleton, table = F.propositional_skeleton(g)
@@ -233,42 +313,30 @@ def sat_forks(f: Formula, frame_class: str = "regc") -> SolveResult:
                 (zeros if lit > 0 else nonzeros).append(atom.left)
             elif isinstance(atom, Contact):
                 if lit > 0:
-                    contacts.append(
-                        [compile_bool(t, var_index) for t in atom.terms])
+                    contacts.append(atom.terms)
                 else:
                     ncontacts.append(
                         [compile_bool(t, var_index) for t in atom.terms])
                     ncontact_terms.append(atom.terms)
             else:
                 raise SolverError(f"unexpected atom {atom!r}")
-        nonzero_fns = [compile_bool(t, var_index) for t in nonzeros]
 
-        admissible = _admissible_types(variables, var_index, zeros,
-                                       ncontact_terms)
-        nodes += len(admissible) + 1
-        if not admissible:
-            if nonzero_fns or contacts:
-                continue
-            model = Model(make_fork_frame([]), {v: frozenset() for v in variables},
-                          frame_class)
-            return _finish(f, model, frame_class, tag, start, nodes)
-
+        # without existential literals the empty space is a model
+        types = _ToothTypes(var_index, zeros, ncontact_terms)
         fork_teeth = []
-        feasible = True
-        for fn in nonzero_fns:
-            tooth = next((m for m in admissible if fn(m)), None)
+        for t in nonzeros:
+            tooth = next(iter(types.of(t)), None)
             if tooth is None:
-                feasible = False
                 break
             fork_teeth.append([tooth])
-        if feasible:
-            for taus in contacts:
-                teeth = _find_fork(taus, admissible, ncontacts)
+        else:
+            for terms in contacts:
+                teeth = _find_fork(terms, types, ncontacts)
                 if teeth is None:
-                    feasible = False
                     break
                 fork_teeth.append(teeth)
-        if not feasible:
+        nodes += types.nodes + 1
+        if len(fork_teeth) < len(nonzeros) + len(contacts):
             continue
 
         frame = make_fork_frame([len(ts) for ts in fork_teeth])
@@ -288,11 +356,12 @@ def sat_forks(f: Formula, frame_class: str = "regc") -> SolveResult:
                                        "time": time.monotonic() - start})
 
 
-def _find_fork(taus, admissible, ncontacts):
-    """Teeth t_i in tau_i such that no forbidden contact sees the hub:
+def _find_fork(terms, types, ncontacts):
+    """Teeth t_i in terms[i] such that no forbidden contact sees the hub:
     never does every sigma_j contain some tooth. Violation is monotone
     in the tooth set, so a bad prefix is pruned outright."""
-    k = len(taus)
+    k = len(terms)
+    candidates = [types.of(t) for t in terms]
     teeth = []
 
     def hub_violated():
@@ -302,9 +371,7 @@ def _find_fork(taus, admissible, ncontacts):
     def go(i):
         if i == k:
             return True
-        for m in admissible:
-            if not taus[i](m):
-                continue
+        for m in candidates[i]:
             teeth.append(m)
             if not hub_violated() and go(i + 1):
                 return True
@@ -725,8 +792,8 @@ class _Prep:
     """Formula preprocessed for the bounded search: normalized goal plus
     filters read off the top-level conjuncts."""
 
-    def __init__(self, f: Formula):
-        self.family = F.formula_family(f)
+    def __init__(self, f: Formula, family: Optional[str]):
+        self.family = family
         if self.family == "set":
             self.goal = nnf(eq_normalize(f))
         else:
@@ -759,7 +826,7 @@ class _Prep:
         if self._admissible is None:
             ncontacts = () if self.family == "set" else self.ncontact_terms
             self._admissible = _admissible_types(
-                self.variables, self.var_index, self.zero_terms, ncontacts)
+                self.var_index, self.zero_terms, ncontacts)
         return self._admissible
 
     def hub_tables(self):
@@ -962,8 +1029,7 @@ def _frames_at(n: int, frame_class: str, prep: _Prep) -> Iterator[QuasiSawFrame]
         raise SolverError(f"unknown frame class {frame_class!r}")
 
 
-def _check_class(f: Formula, frame_class: str):
-    family = F.formula_family(f)
+def _check_class(family: Optional[str], frame_class: str):
     if family == "rc" and frame_class in ("all", "con"):
         raise SolverError("regular-closed formula on a raw set frame class")
     if family == "set" and frame_class in ("regc", "conregc", "fence"):
@@ -986,15 +1052,22 @@ def sat_bounded(f: Formula, frame_class: str = "regc", max_points: int = 8,
     """Iterative-deepening satisfiability over canonical frames of the
     requested class, up to max_points points. A negative verdict is
     complete only when max_points reaches the theoretical bound."""
+    return _sat_bounded(f, frame_class, max_points, time_budget,
+                        F.classify(f), F.formula_family(f))
+
+
+def _sat_bounded(f: Formula, frame_class: str, max_points: int,
+                 time_budget: Optional[float], tag: str,
+                 family: Optional[str]) -> SolveResult:
     if max_points < 0:
         raise SolverError("bound must be nonnegative")
-    _check_class(f, frame_class)
+    _check_class(family, frame_class)
     start = time.monotonic()
-    tb = theoretical_bound(f, frame_class)
+    tb = _theoretical_bound(f, frame_class, tag)
     got = _empty_sat(f, frame_class, tb, start)
     if got is not None:
         return got
-    prep = _Prep(f)
+    prep = _Prep(f, family)
     nvals = 1 << len(prep.variables)
     counters = {"nodes": 0, "frames": 0}
     search = _search_set if prep.family == "set" else _search_rc
@@ -1040,8 +1113,7 @@ def solve(f: Formula, frame_class: str = "regc", max_points: int = 8,
     """Route to the complete fork procedure when it applies, else to the
     bounded search."""
     tag = F.classify(f)
-    if tag in ("B", "RCC8", "C", "Cm"):
-        if frame_class == "regc" or (frame_class == "conregc"
-                                     and tag in ("B", "RCC8")):
-            return sat_forks(f, frame_class)
-    return sat_bounded(f, frame_class, max_points, time_budget)
+    if forks_decide(tag, frame_class):
+        return _sat_forks(f, frame_class, tag)
+    return _sat_bounded(f, frame_class, max_points, time_budget, tag,
+                        F.formula_family(f))

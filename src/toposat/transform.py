@@ -480,7 +480,7 @@ def fp_print(g) -> str:
     if isinstance(g, FPBot):
         return "false"
     if isinstance(g, FPNot):
-        return f"!{fp_print_atomish(g.arg)}"
+        return f"!{fp_print(g.arg)}"
     if isinstance(g, FPAnd):
         return f"({fp_print(g.left)} & {fp_print(g.right)})"
     if isinstance(g, FPOr):
@@ -492,13 +492,6 @@ def fp_print(g) -> str:
     if isinstance(g, DiamondP):
         return f"P({fp_print(g.arg)})"
     raise TransformError(f"not a temporal formula: {g!r}")
-
-
-def fp_print_atomish(g):
-    s = fp_print(g)
-    if isinstance(g, (FPVar, FPTop, FPBot, DiamondF, DiamondP, FPNot)):
-        return s
-    return s
 
 
 def fp_modelcheck(model: Model, g, cell_index: int) -> bool:

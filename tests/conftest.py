@@ -76,6 +76,14 @@ def rand_c_conjunction(rng: random.Random, names: Sequence[str],
                    for _ in range(rng.randint(1, max_atoms))])
 
 
+def balanced_conj(formulas: Sequence[F.Formula]) -> F.Formula:
+    """Conjunction as a balanced tree, so that its depth is logarithmic."""
+    if len(formulas) == 1:
+        return formulas[0]
+    mid = len(formulas) // 2
+    return F.And(balanced_conj(formulas[:mid]), balanced_conj(formulas[mid:]))
+
+
 def rand_bc_formula(rng: random.Random, names: Sequence[str],
                     max_atoms: int = 5) -> F.Formula:
     lits: List[F.Formula] = []

@@ -115,6 +115,13 @@ def test_translate_targets(capsys, monkeypatch):
         assert code == 0 and out.strip()
 
 
+def test_translate_outside_fragment_is_usage_error(capsys, monkeypatch):
+    code, out, err = run(capsys, monkeypatch, ["translate", "--to", "fp"],
+                         stdin="C(a, b)\n")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_deterministic_output_stable(capsys, monkeypatch):
     outs = set()
     for _ in range(3):

@@ -131,6 +131,44 @@ def test_propositional_skeleton_roundtrip():
         assert F.eval_prop(skeleton, assignment)
 
 
+def _rand_prop_formula(rng, atoms, depth):
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice(atoms)
+    op = rng.choice(["not", "and", "or", "imp"])
+    if op == "not":
+        return Not(_rand_prop_formula(rng, atoms, depth - 1))
+    left = _rand_prop_formula(rng, atoms, depth - 1)
+    right = _rand_prop_formula(rng, atoms, depth - 1)
+    return {"and": And, "or": Or, "imp": Implies}[op](left, right)
+
+
+def _brute_literal_sets(skeleton, table):
+    """Every assignment in binary-count order, kept where eval_prop holds."""
+    letters = sorted(table)
+    for mask in range(1 << len(letters)):
+        assignment = {l: bool(mask >> i & 1) for i, l in enumerate(letters)}
+        if F.eval_prop(skeleton, assignment):
+            yield frozenset(l if assignment[l] else -l for l in letters)
+
+
+def test_literal_sets_match_brute_force(rng):
+    for _ in range(400):
+        atoms = [Eq(Var(f"x{i}"), Zero()) for i in range(rng.randint(1, 7))]
+        f = _rand_prop_formula(rng, atoms, rng.randint(0, 6))
+        skeleton, table = F.propositional_skeleton(f)
+        assert (list(F.literal_sets(skeleton, table))
+                == list(_brute_literal_sets(skeleton, table)))
+
+
+def test_literal_sets_prune_without_recursion():
+    from conftest import balanced_conj
+    # 2000 letters: a conjunction leaves one assignment, found by walking
+    # one branch, and the search keeps no stack frame per letter
+    atoms = [Eq(Var(f"x{i}"), Zero()) for i in range(2000)]
+    skeleton, table = F.propositional_skeleton(balanced_conj(atoms))
+    assert list(F.literal_sets(skeleton, table)) == [frozenset(table)]
+
+
 def test_contact_arity_guard():
     with pytest.raises(FormulaError):
         Contact((Var("a"),))

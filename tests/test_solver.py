@@ -1,14 +1,19 @@
 """Satisfiability procedure tests: fork construction, canonical frame
 enumeration, bounded search verdicts, and certificate checking."""
 
+import time
+
 import pytest
 
-from toposat.formula import parse
+from toposat import formula as F
+from toposat.formula import Contact, Eq, Not, Var, Zero, parse
 from toposat.frames import Model, QuasiSawFrame
 from toposat.semantics import holds
-from toposat.solver import (SolveResult, SolverError, canonical_saws,
-                            check_certificate, fork_bound, sat_bounded,
-                            sat_forks, solve, theoretical_bound)
+from toposat.solver import (SolveResult, SolverError, _ToothTypes,
+                            _admissible_types, canonical_saws,
+                            check_certificate, compile_bool, fork_bound,
+                            forks_decide, sat_bounded, sat_forks, solve,
+                            theoretical_bound)
 
 
 def test_fork_bound():
@@ -138,3 +143,92 @@ def test_forks_agree_with_bounded(rng):
         slow = sat_bounded(f, "regc", fork_bound(f))
         assert (quick.status == "SAT") == (slow.status == "SAT")
         assert slow.status in ("SAT", "UNSAT")
+
+
+def test_forks_decide():
+    assert forks_decide("C", "regc") and forks_decide("Cm", "regc")
+    assert forks_decide("RCC8", "conregc") and forks_decide("B", "conregc")
+    assert not forks_decide("C", "conregc")
+    assert not forks_decide("Bc", "regc")
+    assert not forks_decide("B", "fence") and not forks_decide("S4u", "all")
+
+
+def _bit_order_types(v, zeros, ncontacts, want, var_index):
+    """Reference: every type in the search's bit order (bit 0 decided
+    first, False before True), filtered by admissibility and `want`."""
+    zero_fns = [compile_bool(t, var_index) for t in zeros]
+    ncontact_fns = [[compile_bool(t, var_index) for t in sigma]
+                    for sigma in ncontacts]
+    want_fn = compile_bool(want, var_index)
+    order = sorted(range(1 << v), key=lambda m: [m >> k & 1 for k in range(v)])
+    return [m for m in order
+            if not any(z(m) for z in zero_fns)
+            and not any(all(s(m) for s in sigma) for sigma in ncontact_fns)
+            and want_fn(m)]
+
+
+def test_tooth_types_match_admissible_filter(rng):
+    from conftest import rand_b_term
+    for _ in range(300):
+        names = ["a", "b", "c", "d"][:rng.randint(1, 4)]
+        var_index = {v: i for i, v in enumerate(names)}
+        zeros = [rand_b_term(rng, names, 2) for _ in range(rng.randint(0, 2))]
+        ncontacts = [(rand_b_term(rng, names, 2), rand_b_term(rng, names, 2))
+                     for _ in range(rng.randint(0, 2))]
+        types = _ToothTypes(var_index, zeros, ncontacts)
+        admissible = _admissible_types(var_index, zeros, ncontacts)
+        for _ in range(3):
+            want = rand_b_term(rng, names, 2)
+            fn = compile_bool(want, var_index)
+            expected = [m for m in admissible if fn(m)]
+            assert list(types.of(want)) == expected
+            assert expected == _bit_order_types(len(names), zeros, ncontacts,
+                                                want, var_index)
+
+
+def test_tooth_types_nested_iteration():
+    # _find_fork iterates one term's types inside another's, or inside
+    # its own, while both are still being searched
+    names = ["a", "b", "c"]
+    var_index = {v: i for i, v in enumerate(names)}
+    types = _ToothTypes(var_index, [], [])
+    a, b = Var("a"), F.Sum(Var("b"), Var("c"))
+    pairs = [(m, n) for m in types.of(a) for n in types.of(b)]
+    again = [(m, n) for m in types.of(a) for n in types.of(a)]
+    fresh = _ToothTypes(var_index, [], [])
+    assert pairs == [(m, n) for m in list(fresh.of(a)) for n in list(fresh.of(b))]
+    assert again == [(m, n) for m in list(fresh.of(a)) for n in list(fresh.of(a))]
+
+
+def test_fork_route_contact_ladder_scales():
+    ladder = F.conj([Contact((Var(f"a{i}"), Var(f"b{i}"))) for i in range(1, 21)])
+    start = time.monotonic()
+    r = solve(ladder, "regc")
+    assert time.monotonic() - start < 1.0
+    assert r.status == "SAT" and r.method == "forks"
+
+
+def test_fork_route_thousand_literals(rng):
+    from conftest import balanced_conj, rand_b_term, rand_rc_model
+    names = ["a", "b", "c", "d"]
+    model = rand_rc_model(rng, names)
+    literals = {}
+    while len(literals) < 1001:
+        if rng.random() < 0.5:
+            atom = Eq(rand_b_term(rng, names, 3), Zero())
+        else:
+            atom = Contact((rand_b_term(rng, names, 3),
+                            rand_b_term(rng, names, 3)))
+        literals[atom if holds(model, atom).truth else Not(atom)] = None
+    r = solve(balanced_conj(list(literals)), "regc")
+    assert r.status == "SAT" and r.method == "forks"
+
+
+def test_fork_route_decides_machine_formulas():
+    # thousands of skeleton letters: the accepting machine's formula has
+    # a model on forks, the rejecting machine's is false propositionally
+    from toposat import gadgets
+    accepts = solve(gadgets.gen_tm_formula(gadgets.tm_accepter(), ()), "regc")
+    assert accepts.status == "SAT" and accepts.method == "forks"
+    rejects = solve(gadgets.gen_tm_formula(gadgets.tm_rejecter(), ()), "regc")
+    assert rejects.status == "UNSAT" and rejects.method == "forks"
