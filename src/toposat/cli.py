@@ -34,7 +34,6 @@ class RunConfig:
     deterministic: bool = False
     input_path: Optional[str] = None
     output_path: Optional[str] = None
-    seed: int = 0
 
 
 class UsageError(Exception):
@@ -262,7 +261,6 @@ def _build_parser() -> argparse.ArgumentParser:
                            choices=["auto", "forks", "bounded"])
         p.add_argument("--output", default=None)
         p.add_argument("--deterministic", action="store_true")
-        p.add_argument("--seed", type=int, default=0)
 
     common(sub.add_parser("sat", help="decide satisfiability"))
     common(sub.add_parser("valid", help="decide validity via the negation"))
@@ -281,11 +279,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--out", required=True, help="output file prefix")
     p_gen.add_argument("--output", default=None)
     p_gen.add_argument("--deterministic", action="store_true")
-    p_gen.add_argument("--seed", type=int, default=0)
     p_corpus = sub.add_parser("corpus", help="run the example corpus")
     p_corpus.add_argument("--output", default=None)
     p_corpus.add_argument("--deterministic", action="store_true")
-    p_corpus.add_argument("--seed", type=int, default=0)
     return parser
 
 
@@ -302,8 +298,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         method=getattr(args, "method", "auto"),
         deterministic=args.deterministic,
         input_path=getattr(args, "input", None) or getattr(args, "spec", None),
-        output_path=args.output,
-        seed=args.seed)
+        output_path=args.output)
     try:
         _threads()
         if config.bound < 1:

@@ -224,10 +224,11 @@ def subterms(t: Term) -> Iterator[Term]:
     while stack:
         s = stack.pop()
         yield s
-        if isinstance(s, _BINARY_TERMS):
+        kind = type(s)
+        if kind in _BINARY_TERMS:
             stack.append(s.right)
             stack.append(s.left)
-        elif isinstance(s, _UNARY_TERMS):
+        elif kind in _UNARY_TERMS:
             stack.append(s.arg)
 
 
@@ -278,17 +279,18 @@ def subterm_closure(f: Formula) -> Set[Term]:
     return out
 
 
+_FAMILY = {**dict.fromkeys(RC_CONSTRUCTORS, "rc"),
+           **dict.fromkeys(SET_CONSTRUCTORS, "set")}
+
+
 def term_family(t: Term) -> Optional[str]:
     """'rc', 'set', or None when only variables/constants occur."""
     fam = None
     for s in subterms(t):
-        if isinstance(s, RC_CONSTRUCTORS):
-            new = "rc"
-        elif isinstance(s, SET_CONSTRUCTORS):
-            new = "set"
-        else:
+        new = _FAMILY.get(type(s))
+        if new is None or new == fam:
             continue
-        if fam is not None and fam != new:
+        if fam is not None:
             raise FormulaError("term mixes regular-closed and set operators")
         fam = new
     return fam

@@ -191,11 +191,6 @@ class Model:
         if self.frame_class == "fence":
             fence_cells(self.frame)
 
-    def with_valuation(self, extra: Dict[str, PointSet]) -> "Model":
-        v = dict(self.valuation)
-        v.update(extra)
-        return Model(self.frame, v, self.frame_class)
-
 
 def fence_cells(frame: QuasiOrderFrame) -> List[Tuple[str, str]]:
     """Cell sequence of a linear fence as (point id, 'interval'|'point') pairs.

@@ -220,13 +220,6 @@ def step_column(m: TuringMachine, c: Config) -> List[TileType]:
     return column
 
 
-def _column_stack_ok(column: Sequence[TileType]) -> bool:
-    if column[0].bot != BOT or column[-1].top != TOP:
-        return False
-    return all(column[i].top == column[i + 1].bot
-               for i in range(len(column) - 1))
-
-
 def _search_column(tiles: Sequence[TileType], side: str,
                    target: Config) -> List[TileType]:
     """A vertically consistent column whose given side spells the target
@@ -1140,7 +1133,7 @@ def _two_fork_witness() -> Model:
                       {"r1": {"x0", "x2"}}, "conregc")
 
 
-def _clique_witness(k: int, conn_first_only: bool) -> Model:
+def _clique_witness(k: int) -> Model:
     teeth = [f"x{i}" for i in range(k)]
     succ1 = {f"z{i}_{j}": {teeth[i], teeth[j]}
              for i, j in itertools.combinations(range(k), 2)}
@@ -1241,7 +1234,7 @@ def corpus() -> List[CorpusEntry]:
                      for i, j in itertools.combinations((1, 2, 3), 2)])
     entries.append(CorpusEntry(
         "triangle-contact-regc", triangle, "regc", "SAT",
-        bound=6, witness=_clique_witness(3, False)))
+        bound=6, witness=_clique_witness(3)))
     entries.append(CorpusEntry(
         "triangle-contact-fence", triangle, "fence",
         "UNSAT_WITHIN_BOUND", bound=20,
@@ -1251,7 +1244,7 @@ def corpus() -> List[CorpusEntry]:
                  for i, j in itertools.combinations((1, 2, 3, 4), 2)])
     entries.append(CorpusEntry(
         "four-clique-contact-regc", star, "regc", "SAT",
-        bound=10, witness=_clique_witness(4, True)))
+        bound=10, witness=_clique_witness(4)))
     entries.append(CorpusEntry(
         "four-clique-contact-fence", star, "fence",
         "UNSAT_WITHIN_BOUND", bound=20,

@@ -11,23 +11,33 @@ in fence mode) with depth-0 supports driving the valuations; it reports
 a complete verdict only when the requested bound reaches the
 theoretical finite-model bound of the input.
 
+Both routes share one term compiler, `_Terms`, which turns a term once
+into functions of per-variable masks. Read at one point under a partial
+assignment (the type search, the hub check, the conn bounds), a term
+gives dual rails, a "surely in" and a "surely out" bit, which is
+Kleene's three-valued logic. Read over complete masks, of a quasi-saw's
+teeth (regular closed regions) or of all its points (the power-set
+classes), the out-rail is the complement of the in-rail. The normalized
+goal is compiled once per bounded run, and one routine counts
+components.
+
 Every satisfying result is re-verified against the plain model checker
 before it is returned.
 """
 
+import copy
 import itertools
 import math
-import os
 import time
+from functools import reduce
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import formula as F
-from .formula import And, Conn, ConnLe, Contact, Eq, Formula, Not, Rcc8, Var, Zero
-from .frames import (FrameError, Model, QuasiSawFrame, make_fence,
-                     make_fork_frame, connectify)
-from .semantics import SemanticsError, empty_space_eval, holds
-from .transform import TransformError, eq_normalize, nnf, rcc8_to_c
+from .formula import And, Conn, ConnLe, Contact, Eq, Formula, Not
+from .frames import Model, QuasiSawFrame, make_fence, make_fork_frame, connectify
+from .semantics import empty_space_eval, holds
+from .transform import eq_normalize, nnf, rcc8_to_c
 
 
 class SolverError(Exception):
@@ -70,62 +80,162 @@ def _verified(result: SolveResult, f: Formula) -> SolveResult:
 
 
 # ---------------------------------------------------------------------------
-# Boolean evaluation of terms over depth-0 point types
+# Dual-rail evaluation: one compiled form for every term and formula
 
-def compile_bool(t: F.Term, var_index: Dict[str, int]):
-    """Membership of a depth-0 point type (bitmask of variables) in a
-    regular-closed term, as a mask predicate."""
-    if isinstance(t, F.Var):
-        bit = 1 << var_index[t.name]
-        return lambda m: bool(m & bit)
-    if isinstance(t, F.Zero):
-        return lambda m: False
-    if isinstance(t, F.One):
-        return lambda m: True
-    if isinstance(t, F.Sum):
-        a, b = compile_bool(t.left, var_index), compile_bool(t.right, var_index)
-        return lambda m: a(m) or b(m)
-    if isinstance(t, F.Prod):
-        a, b = compile_bool(t.left, var_index), compile_bool(t.right, var_index)
-        return lambda m: a(m) and b(m)
-    if isinstance(t, F.Compl):
-        a = compile_bool(t.arg, var_index)
-        return lambda m: not a(m)
-    raise SolverError(f"not a regular-closed term: {t!r}")
+class _Timeout(Exception):
+    """The time budget ran out inside a search."""
 
 
-def _tv_memb(t: F.Term, assign: List[Optional[bool]],
-             var_index: Dict[str, int]) -> Optional[bool]:
-    """Three-valued membership of a depth-0 point type in a term under a
-    partial variable assignment; None means not yet determined."""
-    if isinstance(t, F.Var):
-        return assign[var_index[t.name]]
-    if isinstance(t, F.Zero):
-        return False
-    if isinstance(t, F.One):
-        return True
-    if isinstance(t, (F.Sum, F.Union)):
-        a = _tv_memb(t.left, assign, var_index)
-        if a is True:
-            return True
-        b = _tv_memb(t.right, assign, var_index)
-        if b is True:
-            return True
-        return False if (a is False and b is False) else None
-    if isinstance(t, (F.Prod, F.Inter)):
-        a = _tv_memb(t.left, assign, var_index)
-        if a is False:
-            return False
-        b = _tv_memb(t.right, assign, var_index)
-        if b is False:
-            return False
-        return True if (a is True and b is True) else None
-    if isinstance(t, (F.Compl, F.SetCompl)):
-        a = _tv_memb(t.arg, assign, var_index)
-        return None if a is None else not a
-    if isinstance(t, (F.Interior, F.Closure)):
-        return _tv_memb(t.arg, assign, var_index)
-    raise SolverError(f"not a term: {t!r}")
+def _zero(V, C):
+    return 0
+
+
+def _one(V, C):
+    return 1
+
+
+def _either(a, b):
+    return lambda V, C: a(V, C) or b(V, C)
+
+
+def _both(a, b):
+    return lambda V, C: a(V, C) and b(V, C)
+
+
+def _or(a, b):
+    return lambda V, C: a(V, C) | b(V, C)
+
+
+def _and(a, b):
+    return lambda V, C: a(V, C) & b(V, C)
+
+
+class _Terms:
+    """Terms over one variable order, each compiled once into a function
+    of an input (V, C). `_compile` walks the term; how the input is read
+    gives the steps it combines (var, zero, one, join, meet, flip,
+    interior, closure). In dual-rail form a term gives two masks: the
+    points surely in it and the points surely out of it. On a complete
+    valuation the rails are complements; on a partial one they are
+    Kleene's three-valued membership. A complement swaps the rails, and
+    interior on one rail is closure on the other.
+
+    This class reads one point under a partial assignment, in dual-rail
+    form: V and C are the masks of the variables assigned True and False,
+    a term compiles to its rails (yes, no), each rail is 0 or 1 and may
+    short-circuit, and interior and closure are transparent at a lone
+    point, as at a tooth."""
+
+    zero, one = (_zero, _one), (_one, _zero)
+    flip = staticmethod(lambda a: a[::-1])
+    interior = closure = staticmethod(lambda a: a)
+
+    def __init__(self, var_index: Dict[str, int]):
+        self.var_index = var_index
+        self._vars = {v: self.var(k) for v, k in var_index.items()}
+        self._compiled: Dict[F.Term, object] = {}
+
+    @staticmethod
+    def var(k: int):
+        return (lambda Y, N: Y >> k & 1), (lambda Y, N: N >> k & 1)
+
+    @staticmethod
+    def join(a, b):
+        return _either(a[0], b[0]), _both(a[1], b[1])
+
+    @staticmethod
+    def meet(a, b):
+        return _both(a[0], b[0]), _either(a[1], b[1])
+
+    def __call__(self, t: F.Term):
+        """Term t compiled, once for all terms equal to it. Compiling and
+        evaluating recurse once per level of t, as the tree-walkers they
+        replace did."""
+        got = self._compiled.get(t)
+        if got is None:
+            got = self._compiled[t] = self._compile(t)
+        return got
+
+    def _compile(self, s):
+        if isinstance(s, F.Var):
+            return self._vars[s.name]
+        if isinstance(s, (F.Sum, F.Union)):
+            return self.join(self._compile(s.left), self._compile(s.right))
+        if isinstance(s, (F.Prod, F.Inter)):
+            return self.meet(self._compile(s.left), self._compile(s.right))
+        if isinstance(s, (F.Compl, F.SetCompl)):
+            return self.flip(self._compile(s.arg))
+        if isinstance(s, F.Zero):
+            return self.zero
+        if isinstance(s, F.One):
+            return self.one
+        if isinstance(s, F.Interior):
+            return self.interior(self._compile(s.arg))
+        if isinstance(s, F.Closure):
+            return self.closure(self._compile(s.arg))
+        raise SolverError(f"not a term: {s!r}")
+
+
+class _MaskTerms(_Terms):
+    """Terms read over the points of a quasi-saw: C is a _SawCtx and V
+    holds each variable's points as a mask over C.unit, which is the
+    teeth for the regular closed classes, whose regions are their tooth
+    supports, and every point for the power-set classes, the only ones
+    whose terms apply interior and closure. The valuation is complete,
+    so the out-rail is the complement of the in-rail: a term compiles to
+    its in-rail alone, and a complement takes the complement of it."""
+
+    zero, join, meet = staticmethod(_zero), staticmethod(_or), staticmethod(_and)
+    var = staticmethod(lambda k: lambda V, C: V[k])
+    one = staticmethod(lambda V, C: C.unit)
+    flip = staticmethod(lambda a: lambda V, C: C.unit & ~a(V, C))
+    interior = staticmethod(lambda a: lambda V, C: C.interior(a(V, C)))
+    closure = staticmethod(lambda a: lambda V, C: C.closure(a(V, C)))
+
+
+def _goal(g: Formula, terms: _MaskTerms) -> Callable:
+    """A normalized goal (negation on atoms only, no implications, no
+    relation atoms) as one function of (V, C)."""
+    if isinstance(g, (And, F.Or)):
+        a, b = _goal(g.left, terms), _goal(g.right, terms)
+        return (_both if isinstance(g, And) else _either)(a, b)
+    if isinstance(g, Not):
+        a = _goal(g.arg, terms)
+        return lambda V, C: not a(V, C)
+    if isinstance(g, Eq):
+        left, right = terms(g.left), terms(g.right)
+        return lambda V, C: left(V, C) == right(V, C)
+    if isinstance(g, Contact):
+        ys = [terms(t) for t in g.terms]
+        return lambda V, C: C.contact([y(V, C) for y in ys])
+    if isinstance(g, (Conn, ConnLe)):
+        y = terms(g.term)
+        k = g.k if isinstance(g, ConnLe) else 1
+        return lambda V, C: len(C.components(y(V, C))) <= k
+    raise SolverError(f"not a normalized formula: {g!r}")
+
+
+def _components(x: int, links: Iterable[int]) -> List[int]:
+    """The connected components of the points in mask x, as masks, where
+    each link joins its points in x."""
+    comps = []
+    for link in links:
+        joined = link & x
+        if joined:
+            rest = []
+            for c in comps:
+                if c & joined:
+                    joined |= c
+                else:
+                    rest.append(c)
+            rest.append(joined)
+            comps = rest
+    for c in comps:
+        x &= ~c
+    while x:
+        comps.append(x & -x)
+        x &= x - 1
+    return comps
 
 
 def _var_indices(terms: Iterable[F.Term], var_index: Dict[str, int]) -> set:
@@ -133,65 +243,103 @@ def _var_indices(terms: Iterable[F.Term], var_index: Dict[str, int]) -> set:
             for x in F.subterms(t) if isinstance(x, F.Var)}
 
 
+class _HubCheck:
+    """Forbidden contacts seen from a hub, over per-type masks: bit s of
+    masks(m)[r] says a point of type m lies in term r of contact s, and a
+    contact of fewer than r + 1 terms has bit s set at position r anyway.
+    A hub sees contact s, which is then violated, when for every position
+    one of its teeth has bit s there."""
+
+    def __init__(self, contacts: Sequence[Sequence[F.Term]], point: _Terms):
+        width = max(map(len, contacts), default=0)
+        self.pad = [0] * width
+        self.terms = [[] for _ in range(width)]
+        for s, sigma in enumerate(contacts):
+            for r in range(width):
+                if r < len(sigma):
+                    self.terms[r].append((1 << s, point(sigma[r])[0]))
+                else:
+                    self.pad[r] |= 1 << s
+        self._masks: Dict[int, List[int]] = {}
+
+    def masks(self, m: int) -> List[int]:
+        got = self._masks.get(m)
+        if got is None:     # type m: the variables outside m are False
+            got = self._masks[m] = [sum(bit for bit, y in terms if y(m, ~m))
+                                    for terms in self.terms]
+        return got
+
+    def sees(self, types: Iterable[int]) -> bool:
+        """Whether a hub over teeth of these types sees a forbidden contact."""
+        if not self.pad:
+            return False
+        seen = list(self.pad)
+        for m in types:
+            for r, mask in enumerate(self.masks(m)):
+                seen[r] |= mask
+        return reduce(int.__and__, seen) != 0
+
+
 class _ToothTypes:
     """Depth-0 point types avoiding every zero term and every forbidden
     contact realized at a single point, found on demand. The search
     assigns variable bits in index order, False before True, and cuts a
     branch once a violation is forced or the wanted term is surely
-    missed. Whether a prefix of bits forces a violation is kept across
-    searches, and each wanted term's types are kept as a lazily extended
-    list, because `_find_fork` backtracks over them."""
+    missed, by dual-rail evaluation of the partial type. Whether a prefix
+    of bits forces a violation is kept across searches, and each wanted
+    term's types are drawn once and kept, because `_find_fork` backtracks
+    over them. Past `deadline` (a `time.monotonic()` reading,
+    or None) the search raises `_Timeout`."""
 
-    def __init__(self, var_index: Dict[str, int], zero_terms: Sequence[F.Term],
-                 ncontact_terms: Sequence[Sequence[F.Term]]):
-        self.var_index = var_index
+    def __init__(self, point: _Terms, zero_terms: Sequence[F.Term],
+                 ncontact_terms: Sequence[Sequence[F.Term]],
+                 deadline: Optional[float]):
+        self.point = point
+        var_index = self.var_index = point.var_index
+        self.deadline = deadline
         self.nodes = 0
-        self._found: Dict[F.Term, _LazyList] = {}
+        self._found: Dict[F.Term, Iterator[int]] = {}
         self._dead: Dict[Tuple[int, int], bool] = {}
-        # a constraint can only flip to violated when one of its own
-        # variables gets assigned, so watch each constraint there
-        self.watch: List[List] = [[] for _ in var_index]
-        checks = [[t] for t in zero_terms] + [list(s) for s in ncontact_terms]
-        constant = []
-        for check in checks:
+        # a check can only flip to violated when one of its own
+        # variables gets assigned, so watch each check there
+        self.watch: List[List[Callable]] = [[] for _ in var_index]
+        self.blocked = False
+        for check in [[t] for t in zero_terms] + [list(s) for s in ncontact_terms]:
             at = _var_indices(check, var_index)
+            # whether the point surely lies in every term of the check
+            fn = reduce(_both, [point(t)[0] for t in check])
             if not at:
-                constant.append(check)
+                self.blocked = self.blocked or bool(fn(0, 0))
             for i in at:
-                self.watch[i].append(check)
-        self.blocked = any(self._violated(c, [None] * len(var_index))
-                           for c in constant)
+                self.watch[i].append(fn)
 
-    def _violated(self, check, assign) -> bool:
-        for t in check:
-            if _tv_memb(t, assign, self.var_index) is not True:
-                return False
-        return True
-
-    def _cut(self, i: int, assign) -> bool:
+    def _cut(self, i: int, yes: int, no: int) -> bool:
         for check in self.watch[i]:
-            if self._violated(check, assign):
+            if check(yes, no):
                 return True
         return False
 
-    def of(self, want: F.Term) -> "_LazyList":
-        """The types in `want`, in search order."""
+    def of(self, want: F.Term) -> Iterator[int]:
+        """The types in `want`, in search order, from the first on. All
+        iterations over one term, nested ones included, share one run of
+        its search: they are copies of one `itertools.tee` iterator."""
         found = self._found.get(want)
         if found is None:
-            found = self._found[want] = _LazyList(self.search(want))
-        return found
+            found = self._found[want] = itertools.tee(self.search(want), 1)[0]
+        return copy.copy(found)
 
     def search(self, want: Optional[F.Term]) -> Iterator[int]:
         """The types in `want` (every type for None), in search order."""
-        var_index = self.var_index
-        v = len(var_index)
-        assign: List[Optional[bool]] = [None] * v   # owned by this search
-        wanted = _var_indices([want] if want is not None else [], var_index)
-        if self.blocked or (want is not None
-                            and _tv_memb(want, assign, var_index) is False):
+        v = len(self.var_index)
+        deadline = self.deadline
+        wanted, missed = set(), None
+        if want is not None:
+            wanted = _var_indices([want], self.var_index)
+            missed = self.point(want)[1]
+        if self.blocked or (missed is not None and missed(0, 0)):
             return
         tried = [0] * v      # values tried at each bit: none, False, both
-        prefix = 0           # the assigned bits as a mask
+        prefix = 0           # the bits assigned True, as a mask
         i = 0
         while i >= 0:
             if i == v:
@@ -200,50 +348,31 @@ class _ToothTypes:
                 continue
             if tried[i] == 2:
                 tried[i] = 0
-                assign[i] = None
                 prefix &= ~(1 << i)
                 i -= 1
                 continue
-            assign[i] = tried[i] == 1
+            prefix |= tried[i] << i
             tried[i] += 1
-            prefix |= assign[i] << i
             self.nodes += 1
+            if deadline is not None and time.monotonic() > deadline:
+                raise _Timeout
+            no = ((2 << i) - 1) & ~prefix
             dead = self._dead.get((i, prefix))
             if dead is None:
-                dead = self._dead[i, prefix] = self._cut(i, assign)
+                dead = self._dead[i, prefix] = self._cut(i, prefix, no)
             if dead:
                 continue
-            if i in wanted and _tv_memb(want, assign, var_index) is False:
+            if i in wanted and missed(prefix, no):
                 continue
             i += 1
 
 
-class _LazyList:
-    """The items of one generator, drawn on first need and kept, so that
-    several iterations, nested ones included, share one run of it."""
-
-    def __init__(self, source: Iterator[int]):
-        self._items: List[int] = []
-        self._source: Optional[Iterator[int]] = source
-
-    def __iter__(self) -> Iterator[int]:
-        i = 0
-        while True:
-            if i == len(self._items):
-                item = next(self._source, None) if self._source else None
-                if item is None:
-                    self._source = None
-                    return
-                self._items.append(item)
-            yield self._items[i]
-            i += 1
-
-
-def _admissible_types(var_index: Dict[str, int],
-                      zero_terms: Sequence[F.Term],
-                      ncontact_terms: Sequence[Sequence[F.Term]]) -> List[int]:
+def _admissible_types(point: _Terms, zero_terms: Sequence[F.Term],
+                      ncontact_terms: Sequence[Sequence[F.Term]],
+                      deadline: Optional[float]) -> List[int]:
     """Every admissible depth-0 point type, in search order."""
-    return list(_ToothTypes(var_index, zero_terms, ncontact_terms).search(None))
+    return list(_ToothTypes(point, zero_terms, ncontact_terms,
+                            deadline).search(None))
 
 
 def fork_bound(f: Formula) -> int:
@@ -302,36 +431,32 @@ def _sat_forks(f: Formula, frame_class: str, tag: str) -> SolveResult:
     skeleton, table = F.propositional_skeleton(g)
     variables = sorted(F.variables(g))
     var_index = {v: i for i, v in enumerate(variables)}
+    point = _Terms(var_index)
     nodes = 0
 
     for literals in F.literal_sets(skeleton, table):
-        zeros, nonzeros, contacts = [], [], []
-        ncontacts, ncontact_terms = [], []
+        zeros, nonzeros, contacts, ncontacts = [], [], [], []
         for lit in sorted(literals, key=abs):
             atom = table[abs(lit)]
             if isinstance(atom, Eq):
                 (zeros if lit > 0 else nonzeros).append(atom.left)
             elif isinstance(atom, Contact):
-                if lit > 0:
-                    contacts.append(atom.terms)
-                else:
-                    ncontacts.append(
-                        [compile_bool(t, var_index) for t in atom.terms])
-                    ncontact_terms.append(atom.terms)
+                (contacts if lit > 0 else ncontacts).append(atom.terms)
             else:
                 raise SolverError(f"unexpected atom {atom!r}")
 
         # without existential literals the empty space is a model
-        types = _ToothTypes(var_index, zeros, ncontact_terms)
+        types = _ToothTypes(point, zeros, ncontacts, None)
         fork_teeth = []
         for t in nonzeros:
-            tooth = next(iter(types.of(t)), None)
+            tooth = next(types.of(t), None)
             if tooth is None:
                 break
             fork_teeth.append([tooth])
         else:
+            hub = _HubCheck(ncontacts, point)
             for terms in contacts:
-                teeth = _find_fork(terms, types, ncontacts)
+                teeth = _find_fork(terms, types, hub)
                 if teeth is None:
                     break
                 fork_teeth.append(teeth)
@@ -356,24 +481,19 @@ def _sat_forks(f: Formula, frame_class: str, tag: str) -> SolveResult:
                                        "time": time.monotonic() - start})
 
 
-def _find_fork(terms, types, ncontacts):
-    """Teeth t_i in terms[i] such that no forbidden contact sees the hub:
-    never does every sigma_j contain some tooth. Violation is monotone
-    in the tooth set, so a bad prefix is pruned outright."""
+def _find_fork(terms, types: _ToothTypes, hub: _HubCheck):
+    """Teeth t_i in terms[i] such that the hub sees no forbidden contact.
+    Violation is monotone in the tooth set, so a bad prefix is pruned
+    outright."""
     k = len(terms)
-    candidates = [types.of(t) for t in terms]
     teeth = []
-
-    def hub_violated():
-        return any(all(any(s(m) for m in teeth) for s in sigma)
-                   for sigma in ncontacts)
 
     def go(i):
         if i == k:
             return True
-        for m in candidates[i]:
+        for m in types.of(terms[i]):
             teeth.append(m)
-            if not hub_violated() and go(i + 1):
+            if not hub.sees(teeth) and go(i + 1):
                 return True
             teeth.pop()
         return False
@@ -424,67 +544,28 @@ def _is_canonical(masks: Sequence[int], p: int) -> bool:
     return True
 
 
-def canonical_saws(n: int, connected: bool = False, antichain: bool = False,
+def canonical_saws(n: int, connected: bool = False, hubs: str = "distinct",
                    max_teeth: Optional[int] = None) -> Iterator[QuasiSawFrame]:
-    """Quasi-saws with exactly n points, one per isomorphism class
-    (exact for <= 6 teeth, symmetry-reduced above), hubs with pairwise
-    distinct successor sets."""
+    """Quasi-saws with exactly n points, one per isomorphism class (exact
+    for <= 6 teeth, symmetry-reduced above). The hubs' successor sets are
+    pairwise distinct ("distinct"), pairwise incomparable ("antichain"),
+    or may repeat ("repeated"): the power-set classes need repeats, since
+    depth-1 points carry independent memberships there."""
     top = n if max_teeth is None else min(n, max_teeth)
+    antichain = hubs == "antichain"
+    choose = (itertools.combinations_with_replacement if hubs == "repeated"
+              else itertools.combinations)
     for p in range(1, top + 1):
         q = n - p
-        if q > (1 << p) - 1:
-            continue
         if antichain and q > math.comb(p, p // 2):
             continue
-        universe = range(1, 1 << p)
-        for combo in itertools.combinations(universe, q):
+        for combo in choose(range(1, 1 << p), q):
             if antichain and any(a != b and a & b == a
                                  for a in combo for b in combo):
                 continue
             if not _is_canonical(combo, p):
                 continue
-            if connected and not _masks_connected(combo, p):
-                continue
-            teeth = [f"a{i}" for i in range(p)]
-            succ1 = {f"z{j}": {teeth[i] for i in range(p) if m >> i & 1}
-                     for j, m in enumerate(combo)}
-            yield QuasiSawFrame(teeth, [f"z{j}" for j in range(q)], succ1)
-
-
-def _masks_connected(masks: Sequence[int], p: int) -> bool:
-    if p == 1 or (p == 0 and len(masks) <= 1):
-        return True
-    if not masks:
-        return False
-    comps = list(masks) + [1 << i for i in range(p)
-                           if not any(m >> i & 1 for m in masks)]
-    merged = True
-    while merged and len(comps) > 1:
-        merged = False
-        for i in range(len(comps)):
-            for j in range(i + 1, len(comps)):
-                if comps[i] & comps[j]:
-                    comps[i] |= comps.pop(j)
-                    merged = True
-                    break
-            if merged:
-                break
-    return len(comps) == 1
-
-
-def canonical_saws_set(n: int, connected: bool = False,
-                       max_teeth: Optional[int] = None) -> Iterator[QuasiSawFrame]:
-    """Quasi-saw enumeration for the power-set frame classes: duplicate
-    hub successor sets are allowed there, since depth-1 points carry
-    independent memberships."""
-    top = n if max_teeth is None else min(n, max_teeth)
-    for p in range(1, top + 1):
-        q = n - p
-        universe = range(1, 1 << p)
-        for combo in itertools.combinations_with_replacement(universe, q):
-            if not _is_canonical(combo, p):
-                continue
-            if connected and not _masks_connected(combo, p):
+            if connected and len(_components((1 << p) - 1, combo)) > 1:
                 continue
             teeth = [f"a{i}" for i in range(p)]
             succ1 = {f"z{j}": {teeth[i] for i in range(p) if m >> i & 1}
@@ -510,226 +591,86 @@ def _fork_partitions(n: int) -> Iterator[List[int]]:
 
 
 class _SawCtx:
-    """Precomputed per-frame search state."""
+    """Precomputed per-frame search state. Valuations range over `unit`:
+    the teeth, or every point when `whole` (the power-set classes)."""
 
-    def __init__(self, saw: QuasiSawFrame):
-        self.saw = saw
+    def __init__(self, saw: QuasiSawFrame, whole: bool):
         self.teeth = sorted(saw.depth0)
         self.hubs = sorted(saw.depth1)
         self.p = len(self.teeth)
         self.q = len(self.hubs)
+        self.whole = whole
         index = {t: i for i, t in enumerate(self.teeth)}
         self.hub_masks = [sum(1 << index[t] for t in saw.succ1[z])
                           for z in self.hubs]
         self.full = (1 << self.p) - 1
+        self.unit = (1 << (self.p + self.q)) - 1 if whole else self.full
         hub_last = [max((index[t] for t in saw.succ1[z]), default=-1)
                     for z in self.hubs]
-        self.hub_last = hub_last
+        # hubs_done_at[i]: the teeth, as index lists, of each hub whose
+        # teeth are all typed once tooth i is
         self.hubs_done_at = [[] for _ in range(self.p)]
-        for j, last in enumerate(hub_last):
+        for m, last in zip(self.hub_masks, hub_last):
             if last >= 0:
-                self.hubs_done_at[last].append(j)
-        self.seal_index = []
-        for i in range(self.p):
-            last = i
-            for j, m in enumerate(self.hub_masks):
-                if m >> i & 1:
-                    last = max(last, hub_last[j])
-            self.seal_index.append(last)
+                self.hubs_done_at[last].append(
+                    [t for t in range(self.p) if m >> t & 1])
+        # hubs_done_by[i]: the hubs, as masks, all of whose teeth are typed
+        # with tooth i
+        self.hubs_done_by = [[m for m, last in zip(self.hub_masks, hub_last)
+                              if last <= i] for i in range(self.p)]
+        # sealed_by[i]: the teeth whose hubs are all complete with tooth i
+        seal = [max([i] + [hub_last[j] for j, m in enumerate(self.hub_masks)
+                           if m >> i & 1]) for i in range(self.p)]
+        self.sealed_by = [sum(1 << t for t in range(self.p) if seal[t] <= i)
+                          for i in range(self.p)]
         # teeth with identical hub incidence are interchangeable
-        cols = []
-        for i in range(self.p):
-            cols.append(sum(1 << j for j, m in enumerate(self.hub_masks)
-                            if m >> i & 1))
+        cols = [sum(1 << j for j, m in enumerate(self.hub_masks) if m >> i & 1)
+                for i in range(self.p)]
         self.same_col_as_prev = [i > 0 and cols[i] == cols[i - 1]
                                  for i in range(self.p)]
         self.isolated = [col == 0 for col in cols]
 
+    def interior(self, x: int) -> int:
+        out = x & self.full
+        for j, m in enumerate(self.hub_masks):
+            if x >> (self.p + j) & 1 and m & ~x == 0:
+                out |= 1 << (self.p + j)
+        return out
 
-# --- regular-closed evaluation over depth-0 supports ---
-
-def _rc_support(t: F.Term, supp: Dict[str, int], ctx: _SawCtx) -> int:
-    if isinstance(t, F.Var):
-        return supp[t.name]
-    if isinstance(t, F.Zero):
-        return 0
-    if isinstance(t, F.One):
-        return ctx.full
-    if isinstance(t, F.Sum):
-        return _rc_support(t.left, supp, ctx) | _rc_support(t.right, supp, ctx)
-    if isinstance(t, F.Prod):
-        return _rc_support(t.left, supp, ctx) & _rc_support(t.right, supp, ctx)
-    if isinstance(t, F.Compl):
-        return ctx.full & ~_rc_support(t.arg, supp, ctx)
-    raise SolverError(f"not a regular-closed term: {t!r}")
-
-
-def _rc_components(support: int, ctx: _SawCtx) -> int:
-    if not support:
-        return 0
-    parent = {}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
+    def closure(self, x: int) -> int:
+        for j, m in enumerate(self.hub_masks):
+            if m & x:
+                x |= 1 << (self.p + j)
         return x
 
-    bits = [i for i in range(ctx.p) if support >> i & 1]
-    for i in bits:
-        parent[i] = i
-    for m in ctx.hub_masks:
-        mm = m & support
-        if mm:
-            members = [i for i in bits if mm >> i & 1]
-            for other in members[1:]:
-                parent[find(other)] = find(members[0])
-    return len({find(i) for i in bits})
+    def contact(self, supports: List[int]) -> bool:
+        """Regular closed sets given by their supports share a point."""
+        return bool(reduce(int.__and__, supports)) or any(
+            all(m & s for s in supports) for m in self.hub_masks)
+
+    def components(self, x: int) -> List[int]:
+        """The components of the set with mask x, as masks. A regular
+        closed set holds every hub seeing its support, so every hub links
+        its teeth there; a raw set links only through its own hubs."""
+        if not self.whole:
+            return _components(x, self.hub_masks)
+        p = self.p
+        return _components(x, [m | 1 << (p + j)
+                               for j, m in enumerate(self.hub_masks)
+                               if x >> (p + j) & 1])
 
 
-def _rc_contact(supports: List[int], ctx: _SawCtx) -> bool:
-    common = ctx.full
-    for s in supports:
-        common &= s
-    if common:
-        return True
-    return any(all(m & s for s in supports) for m in ctx.hub_masks)
+def _cheap_rc(goal: Callable, supports: List[int], ctx: _SawCtx) -> bool:
+    """The compiled goal at a leaf of `_search_rc`, given the tooth
+    support of every variable."""
+    return goal(supports, ctx)
 
 
-def _rc_subset_interior(s1: int, s2: int, ctx: _SawCtx) -> bool:
-    if s1 & ~s2:
-        return False
-    return all(not (m & s1) or not (m & ~s2 & ctx.full)
-               for m in ctx.hub_masks)
+def _cheap_set(goal: Callable, masks: List[int], ctx: _SawCtx) -> bool:
+    """The compiled goal at a leaf of `_search_set`, given the points of
+    every variable."""
+    return goal(masks, ctx)
 
-
-def _cheap_rc(g: Formula, supp: Dict[str, int], ctx: _SawCtx) -> bool:
-    if isinstance(g, Eq):
-        return _rc_support(g.left, supp, ctx) == _rc_support(g.right, supp, ctx)
-    if isinstance(g, Contact):
-        return _rc_contact([_rc_support(t, supp, ctx) for t in g.terms], ctx)
-    if isinstance(g, Rcc8):
-        s1 = _rc_support(g.left, supp, ctx)
-        s2 = _rc_support(g.right, supp, ctx)
-        return _cheap_rcc8(g.rel, s1, s2, ctx)
-    if isinstance(g, Conn):
-        return _rc_components(_rc_support(g.term, supp, ctx), ctx) <= 1
-    if isinstance(g, ConnLe):
-        return _rc_components(_rc_support(g.term, supp, ctx), ctx) <= g.k
-    if isinstance(g, Not):
-        return not _cheap_rc(g.arg, supp, ctx)
-    if isinstance(g, And):
-        return _cheap_rc(g.left, supp, ctx) and _cheap_rc(g.right, supp, ctx)
-    if isinstance(g, F.Or):
-        return _cheap_rc(g.left, supp, ctx) or _cheap_rc(g.right, supp, ctx)
-    if isinstance(g, F.Implies):
-        return (not _cheap_rc(g.left, supp, ctx)) or _cheap_rc(g.right, supp, ctx)
-    raise SolverError(f"not a formula: {g!r}")
-
-
-def _cheap_rcc8(rel, s1, s2, ctx):
-    if rel == "TPPi":
-        return _cheap_rcc8("TPP", s2, s1, ctx)
-    if rel == "NTPPi":
-        return _cheap_rcc8("NTPP", s2, s1, ctx)
-    contact = _rc_contact([s1, s2], ctx)
-    if rel == "DC":
-        return not contact
-    if rel == "EQ":
-        return s1 == s2
-    if rel == "EC":
-        return contact and not s1 & s2
-    if rel == "PO":
-        return bool(s1 & s2) and bool(s1 & ~s2) and bool(s2 & ~s1)
-    if rel == "TPP":
-        return (not s1 & ~s2 and not _rc_subset_interior(s1, s2, ctx)
-                and bool(s2 & ~s1))
-    if rel == "NTPP":
-        return _rc_subset_interior(s1, s2, ctx) and bool(s2 & ~s1)
-    raise SolverError(f"unknown relation {rel!r}")
-
-
-# --- power-set evaluation over full point masks ---
-
-def _set_term(t: F.Term, val: Dict[str, int], ctx: _SawCtx) -> int:
-    p, q = ctx.p, ctx.q
-    everything = (1 << (p + q)) - 1
-    if isinstance(t, F.Var):
-        return val[t.name]
-    if isinstance(t, F.Zero):
-        return 0
-    if isinstance(t, F.One):
-        return everything
-    if isinstance(t, (F.Union, F.Sum)):
-        return _set_term(t.left, val, ctx) | _set_term(t.right, val, ctx)
-    if isinstance(t, (F.Inter,)):
-        return _set_term(t.left, val, ctx) & _set_term(t.right, val, ctx)
-    if isinstance(t, F.SetCompl):
-        return everything & ~_set_term(t.arg, val, ctx)
-    if isinstance(t, F.Interior):
-        x = _set_term(t.arg, val, ctx)
-        out = x & ctx.full
-        for j, m in enumerate(ctx.hub_masks):
-            if x >> (p + j) & 1 and m & ~x == 0:
-                out |= 1 << (p + j)
-        return out
-    if isinstance(t, F.Closure):
-        x = _set_term(t.arg, val, ctx)
-        out = x
-        for j, m in enumerate(ctx.hub_masks):
-            if m & x:
-                out |= 1 << (p + j)
-        return out
-    raise SolverError(f"not a set term: {t!r}")
-
-
-def _set_components(x: int, ctx: _SawCtx) -> int:
-    p = ctx.p
-    points = [i for i in range(p + ctx.q) if x >> i & 1]
-    if not points:
-        return 0
-    parent = {i: i for i in points}
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for j, m in enumerate(ctx.hub_masks):
-        if not x >> (p + j) & 1:
-            continue
-        mm = m & x
-        for i in range(p):
-            if mm >> i & 1:
-                parent[find(i)] = find(p + j)
-    return len({find(i) for i in points})
-
-
-def _cheap_set(g: Formula, val: Dict[str, int], ctx: _SawCtx) -> bool:
-    if isinstance(g, Eq):
-        return _set_term(g.left, val, ctx) == _set_term(g.right, val, ctx)
-    if isinstance(g, Contact):
-        common = (1 << (ctx.p + ctx.q)) - 1
-        for t in g.terms:
-            common &= _set_term(t, val, ctx)
-        return bool(common)
-    if isinstance(g, Conn):
-        return _set_components(_set_term(g.term, val, ctx), ctx) <= 1
-    if isinstance(g, ConnLe):
-        return _set_components(_set_term(g.term, val, ctx), ctx) <= g.k
-    if isinstance(g, Not):
-        return not _cheap_set(g.arg, val, ctx)
-    if isinstance(g, And):
-        return _cheap_set(g.left, val, ctx) and _cheap_set(g.right, val, ctx)
-    if isinstance(g, F.Or):
-        return _cheap_set(g.left, val, ctx) or _cheap_set(g.right, val, ctx)
-    if isinstance(g, F.Implies):
-        return (not _cheap_set(g.left, val, ctx)) or _cheap_set(g.right, val, ctx)
-    raise SolverError(f"not a formula: {g!r}")
-
-
-# --- conjunct-driven pruning ---
 
 def _conjuncts(g: Formula) -> Iterator[Formula]:
     if isinstance(g, And):
@@ -739,181 +680,79 @@ def _conjuncts(g: Formula) -> Iterator[Formula]:
         yield g
 
 
-def _memb_tooth(t: F.Term, m: int, var_index: Dict[str, int]) -> bool:
-    """Membership of a depth-0 point in a set term depends on its own
-    type only: interior and closure are transparent at open points."""
-    if isinstance(t, F.Var):
-        return bool(m >> var_index[t.name] & 1)
-    if isinstance(t, F.Zero):
-        return False
-    if isinstance(t, F.One):
-        return True
-    if isinstance(t, (F.Union, F.Sum)):
-        return (_memb_tooth(t.left, m, var_index)
-                or _memb_tooth(t.right, m, var_index))
-    if isinstance(t, F.Inter):
-        return (_memb_tooth(t.left, m, var_index)
-                and _memb_tooth(t.right, m, var_index))
-    if isinstance(t, F.SetCompl):
-        return not _memb_tooth(t.arg, m, var_index)
-    if isinstance(t, (F.Interior, F.Closure)):
-        return _memb_tooth(t.arg, m, var_index)
-    raise SolverError(f"not a set term: {t!r}")
-
-
-def _memb_hub(t: F.Term, hm: int, tooth_types: Sequence[int],
-              var_index: Dict[str, int]) -> bool:
-    """Membership of a depth-1 point given its type and the types of
-    its successors."""
-    if isinstance(t, F.Var):
-        return bool(hm >> var_index[t.name] & 1)
-    if isinstance(t, F.Zero):
-        return False
-    if isinstance(t, F.One):
-        return True
-    if isinstance(t, (F.Union, F.Sum)):
-        return (_memb_hub(t.left, hm, tooth_types, var_index)
-                or _memb_hub(t.right, hm, tooth_types, var_index))
-    if isinstance(t, F.Inter):
-        return (_memb_hub(t.left, hm, tooth_types, var_index)
-                and _memb_hub(t.right, hm, tooth_types, var_index))
-    if isinstance(t, F.SetCompl):
-        return not _memb_hub(t.arg, hm, tooth_types, var_index)
-    if isinstance(t, F.Interior):
-        return (_memb_hub(t.arg, hm, tooth_types, var_index)
-                and all(_memb_tooth(t.arg, m, var_index) for m in tooth_types))
-    if isinstance(t, F.Closure):
-        return (_memb_hub(t.arg, hm, tooth_types, var_index)
-                or any(_memb_tooth(t.arg, m, var_index) for m in tooth_types))
-    raise SolverError(f"not a set term: {t!r}")
-
-
 class _Prep:
-    """Formula preprocessed for the bounded search: normalized goal plus
-    filters read off the top-level conjuncts."""
+    """Formula preprocessed for the bounded search: the normalized goal,
+    compiled once, plus filters read off its top-level conjuncts."""
 
-    def __init__(self, f: Formula, family: Optional[str]):
+    def __init__(self, f: Formula, family: Optional[str],
+                 deadline: Optional[float]):
         self.family = family
-        if self.family == "set":
-            self.goal = nnf(eq_normalize(f))
-        else:
-            self.goal = nnf(eq_normalize(rcc8_to_c(f)))
+        self.deadline = deadline
+        goal = nnf(eq_normalize(f if family == "set" else rcc8_to_c(f)))
         self.variables = sorted(F.variables(f))
         self.var_index = {v: i for i, v in enumerate(self.variables)}
+        self.point = _Terms(self.var_index)
+        masks = _MaskTerms(self.var_index)
+        self.goal = _goal(goal, masks)
         self.conn_free = not any(isinstance(a, (Conn, ConnLe))
                                  for a in F.atoms(f))
         self.zero_terms = []
-        self.ncontact_fns = []
         self.ncontact_terms = []
         self.conn_bounds = []
-        for g in _conjuncts(self.goal):
+        for g in _conjuncts(goal):
             if isinstance(g, Eq) and isinstance(g.right, F.Zero):
                 self.zero_terms.append(g.left)
             elif isinstance(g, Not) and isinstance(g.arg, Contact):
-                self.ncontact_fns.append(
-                    [compile_bool(t, self.var_index) for t in g.arg.terms])
                 self.ncontact_terms.append(g.arg.terms)
-            elif isinstance(g, Conn) and self.family != "set":
+            elif isinstance(g, (Conn, ConnLe)) and family != "set":
                 self.conn_bounds.append(
-                    (compile_bool(g.term, self.var_index), 1))
-            elif isinstance(g, ConnLe) and self.family != "set":
-                self.conn_bounds.append(
-                    (compile_bool(g.term, self.var_index), g.k))
+                    (self.point(g.term)[0],
+                     g.k if isinstance(g, ConnLe) else 1))
+        self.hub = _HubCheck(self.ncontact_terms, self.point)
+        # the points in some zero term, as a mask, for the hub types of
+        # the power-set classes
+        self.zero_points = (reduce(_or, [masks(t) for t in self.zero_terms])
+                            if family == "set" and self.zero_terms else None)
         self._admissible = None
-        self._hub_tables = None
 
     def admissible_types(self) -> List[int]:
+        """The admissible depth-0 types; `inside[m]` then has bit c set
+        when type m lies in the term of conn bound c."""
         if self._admissible is None:
-            ncontacts = () if self.family == "set" else self.ncontact_terms
-            self._admissible = _admissible_types(
-                self.var_index, self.zero_terms, ncontacts)
+            types = _admissible_types(self.point, self.zero_terms,
+                                      self.ncontact_terms, self.deadline)
+            self.inside = {m: sum(1 << c for c, (y, _) in
+                                  enumerate(self.conn_bounds)
+                                  if y(m, ~m)) for m in types}
+            self._admissible = types
         return self._admissible
 
-    def hub_tables(self):
-        """Per-type bitmasks over the binary forbidden contacts: bit s of
-        left_mask[m] says the first term of contact s holds at type m."""
-        if self._hub_tables is None:
-            binary = [sig for sig in self.ncontact_fns if len(sig) == 2]
-            longer = [sig for sig in self.ncontact_fns if len(sig) != 2]
-            left_mask, right_mask = {}, {}
-            for m in self.admissible_types():
-                a = b = 0
-                for s, sig in enumerate(binary):
-                    if sig[0](m):
-                        a |= 1 << s
-                    if sig[1](m):
-                        b |= 1 << s
-                left_mask[m] = a
-                right_mask[m] = b
-            self._hub_tables = (left_mask, right_mask, longer)
-        return self._hub_tables
+
+def _tick(counters: Dict, deadline: Optional[float]):
+    counters["nodes"] += 1
+    if deadline is not None and time.monotonic() > deadline:
+        raise _Timeout
 
 
-def _search_rc(ctx: _SawCtx, prep: _Prep, counters: Dict) -> Optional[Dict[str, int]]:
-    """Depth-0 type assignment for the regular-closed classes. Returns
-    variable supports on success."""
+def _place_teeth(ctx: _SawCtx, prep: _Prep, counters: Dict,
+                 fits: Callable, done: Callable):
+    """Admissible depth-0 types for the teeth in order, each type once
+    when no conn atom occurs; a tooth with the same hubs as the one
+    before takes a later type, or the same one when both are isolated.
+    `fits(types, i)` prunes once tooth i is typed; `done(types)` gives
+    the answer for a complete typing, or None to go on."""
     p = ctx.p
     admissible = prep.admissible_types()
-    if p and not admissible:
-        return None
-    if prep.conn_free and p > len(admissible):
+    if p and not admissible or prep.conn_free and p > len(admissible):
         return None
     rank = {m: i for i, m in enumerate(admissible)}
     types = [0] * p
     used = set()
-    hub_bits = [[i for i in range(p) if m >> i & 1] for m in ctx.hub_masks]
-
-    left_mask, right_mask, longer = prep.hub_tables()
-
-    def hub_ok(j):
-        a = b = 0
-        for i in hub_bits[j]:
-            a |= left_mask[types[i]]
-            b |= right_mask[types[i]]
-        if a & b:
-            return False
-        if longer:
-            teeth_types = [types[i] for i in hub_bits[j]]
-            return not any(all(any(s(m) for m in teeth_types) for s in sigma)
-                           for sigma in longer)
-        return True
-
-    def sealed_ok(i):
-        for fn, k in prep.conn_bounds:
-            support = [t for t in range(i + 1) if fn(types[t])]
-            if len(support) <= k:
-                continue
-            parent = {t: t for t in support}
-
-            def find(x):
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                return x
-
-            in_support = set(support)
-            for j, last in enumerate(ctx.hub_last):
-                if last > i:
-                    continue
-                members = [t for t in hub_bits[j] if t in in_support]
-                for other in members[1:]:
-                    parent[find(other)] = find(members[0])
-            groups = {}
-            for t in support:
-                groups.setdefault(find(t), []).append(t)
-            sealed = sum(1 for g in groups.values()
-                         if all(ctx.seal_index[t] <= i for t in g))
-            if sealed > k:
-                return False
-        return True
 
     def place(i):
-        counters["nodes"] += 1
+        _tick(counters, prep.deadline)
         if i == p:
-            supp = {v: sum(1 << t for t in range(p)
-                           if types[t] >> k & 1)
-                    for v, k in prep.var_index.items()}
-            return supp if _cheap_rc(prep.goal, supp, ctx) else None
+            return done(types)
         lo = 0
         if ctx.same_col_as_prev[i]:
             lo = rank[types[i - 1]]
@@ -923,9 +762,7 @@ def _search_rc(ctx: _SawCtx, prep: _Prep, counters: Dict) -> Optional[Dict[str, 
             if prep.conn_free and m in used:
                 continue
             types[i] = m
-            if not all(hub_ok(j) for j in ctx.hubs_done_at[i]):
-                continue
-            if prep.conn_bounds and not sealed_ok(i):
+            if not fits(types, i):
                 continue
             used.add(m)
             got = place(i + 1)
@@ -937,41 +774,66 @@ def _search_rc(ctx: _SawCtx, prep: _Prep, counters: Dict) -> Optional[Dict[str, 
     return place(0)
 
 
-def _search_set(ctx: _SawCtx, prep: _Prep, counters: Dict) -> Optional[Dict[str, int]]:
+def _search_rc(ctx: _SawCtx, prep: _Prep, counters: Dict) -> Optional[List[int]]:
+    """Depth-0 type assignment for the regular-closed classes. Returns
+    the tooth support of every variable on success."""
+    p = ctx.p
+    variables = range(len(prep.variables))
+
+    def sealed_ok(types, i):
+        """No conn bound is exceeded by components that no later tooth
+        can join."""
+        links = ctx.hubs_done_by[i]
+        for c, (_, k) in enumerate(prep.conn_bounds):
+            support = sum(1 << t for t in range(i + 1)
+                          if prep.inside[types[t]] >> c & 1)
+            if bin(support).count("1") <= k:
+                continue
+            sealed = sum(1 for comp in _components(support, links)
+                         if not comp & ~ctx.sealed_by[i])
+            if sealed > k:
+                return False
+        return True
+
+    def fits(types, i):
+        for teeth in ctx.hubs_done_at[i]:
+            if prep.hub.sees([types[t] for t in teeth]):
+                return False
+        return not prep.conn_bounds or sealed_ok(types, i)
+
+    def done(types):
+        supports = [sum(1 << t for t in range(p) if types[t] >> k & 1)
+                    for k in variables]
+        return supports if _cheap_rc(prep.goal, supports, ctx) else None
+
+    return _place_teeth(ctx, prep, counters, fits, done)
+
+
+def _search_set(ctx: _SawCtx, prep: _Prep, counters: Dict) -> Optional[List[int]]:
     """Type assignment for the power-set classes: depth-0 types first,
-    then independent depth-1 types. Returns variable point masks."""
+    then independent depth-1 types. Returns the points of every variable
+    as masks."""
     p, q = ctx.p, ctx.q
-    admissible = prep.admissible_types()
-    if p and not admissible:
-        return None
-    if prep.conn_free and p > len(admissible):
-        return None
-    rank = {m: i for i, m in enumerate(admissible)}
-    types = [0] * p
     hub_types = [0] * q
-    used = set()
     same_hub_as_prev = [j > 0 and ctx.hub_masks[j] == ctx.hub_masks[j - 1]
                         for j in range(q)]
-    hub_teeth_types = [None] * q
-
-    def val_masks():
-        val = {}
-        for v, k in prep.var_index.items():
-            mask = sum(1 << t for t in range(p) if types[t] >> k & 1)
-            mask |= sum(1 << (p + j) for j in range(q)
-                        if hub_types[j] >> k & 1)
-            val[v] = mask
-        return val
+    variables = range(len(prep.variables))
+    teeth_of = []       # per variable, its teeth, once all are typed
 
     def place_hub(j):
-        counters["nodes"] += 1
+        _tick(counters, prep.deadline)
         if j == q:
-            val = val_masks()
-            return val if _cheap_set(prep.goal, val, ctx) else None
+            masks = [teeth_of[k] | sum(1 << (p + h) for h in range(q)
+                                       if hub_types[h] >> k & 1)
+                     for k in variables]
+            return masks if _cheap_set(prep.goal, masks, ctx) else None
         lo = hub_types[j - 1] if same_hub_as_prev[j] else 0
-        for hm in range(lo, 1 << len(prep.variables)):
-            if any(_memb_hub(t, hm, hub_teeth_types[j], prep.var_index)
-                   for t in prep.zero_terms):
+        bit = 1 << (p + j)
+        for hm in range(lo, 1 << len(variables)):
+            # hub j's membership depends only on its own type and its teeth
+            if prep.zero_points is not None and prep.zero_points(
+                    [teeth_of[k] | (bit if hm >> k & 1 else 0)
+                     for k in variables], ctx) & bit:
                 continue
             hub_types[j] = hm
             got = place_hub(j + 1)
@@ -979,29 +841,12 @@ def _search_set(ctx: _SawCtx, prep: _Prep, counters: Dict) -> Optional[Dict[str,
                 return got
         return None
 
-    def place(i):
-        counters["nodes"] += 1
-        if i == p:
-            for j, m in enumerate(ctx.hub_masks):
-                hub_teeth_types[j] = [types[t] for t in range(p) if m >> t & 1]
-            return place_hub(0)
-        lo = 0
-        if ctx.same_col_as_prev[i]:
-            lo = rank[types[i - 1]]
-            if not ctx.isolated[i]:
-                lo += 1
-        for m in admissible[lo:]:
-            if prep.conn_free and m in used:
-                continue
-            types[i] = m
-            used.add(m)
-            got = place(i + 1)
-            if got is not None:
-                return got
-            used.discard(m)
-        return None
+    def done(types):
+        teeth_of[:] = [sum(1 << t for t in range(p) if types[t] >> k & 1)
+                       for k in variables]
+        return place_hub(0)
 
-    return place(0)
+    return _place_teeth(ctx, prep, counters, lambda types, i: True, done)
 
 
 # ---------------------------------------------------------------------------
@@ -1017,14 +862,11 @@ def _frames_at(n: int, frame_class: str, prep: _Prep) -> Iterator[QuasiSawFrame]
             for arities in _fork_partitions(n):
                 yield make_fork_frame(arities)
         else:
-            yield from canonical_saws(n, connected=False, antichain=True)
+            yield from canonical_saws(n, False, "antichain")
     elif frame_class == "conregc":
-        yield from canonical_saws(n, connected=True, antichain=True,
-                                  max_teeth=cap)
-    elif frame_class == "all":
-        yield from canonical_saws_set(n, connected=False, max_teeth=cap)
-    elif frame_class == "con":
-        yield from canonical_saws_set(n, connected=True, max_teeth=cap)
+        yield from canonical_saws(n, True, "antichain", cap)
+    elif frame_class in ("all", "con"):
+        yield from canonical_saws(n, frame_class == "con", "repeated", cap)
     else:
         raise SolverError(f"unknown frame class {frame_class!r}")
 
@@ -1067,39 +909,41 @@ def _sat_bounded(f: Formula, frame_class: str, max_points: int,
     got = _empty_sat(f, frame_class, tb, start)
     if got is not None:
         return got
-    prep = _Prep(f, family)
+    deadline = None if time_budget is None else start + time_budget
+    prep = _Prep(f, family, deadline)
+    whole = prep.family == "set"
     nvals = 1 << len(prep.variables)
     counters = {"nodes": 0, "frames": 0}
-    search = _search_set if prep.family == "set" else _search_rc
-    for n in range(1, max_points + 1):
-        for frame in _frames_at(n, frame_class, prep):
-            if time_budget is not None and time.monotonic() - start > time_budget:
-                return SolveResult(
-                    UNSAT_WITHIN_BOUND, None, n - 1, BOUNDED, "bounded", tb,
-                    {**counters, "aborted": True,
-                     "time": time.monotonic() - start})
-            counters["frames"] += 1
-            ctx = _SawCtx(frame)
-            if prep.conn_free and ctx.p > nvals:
-                continue
-            found = search(ctx, prep, counters)
-            if found is None:
-                continue
-            if prep.family == "set":
-                valuation = {v: frozenset(
-                    ([ctx.teeth[i] for i in range(ctx.p) if mask >> i & 1]
-                     + [ctx.hubs[j] for j in range(ctx.q)
-                        if mask >> (ctx.p + j) & 1]))
-                    for v, mask in found.items()}
-            else:
-                valuation = {v: frame.rc_from_support(frozenset(
-                    ctx.teeth[i] for i in range(ctx.p) if mask >> i & 1))
-                    for v, mask in found.items()}
-            model = Model(frame, valuation, frame_class)
-            result = SolveResult(SAT, model, n, COMPLETE, "bounded", tb,
-                                 {**counters,
-                                  "time": time.monotonic() - start})
-            return _verified(result, f)
+    search = _search_set if whole else _search_rc
+    n = 0
+    try:
+        for n in range(1, max_points + 1):
+            for frame in _frames_at(n, frame_class, prep):
+                if deadline is not None and time.monotonic() > deadline:
+                    raise _Timeout
+                counters["frames"] += 1
+                ctx = _SawCtx(frame, whole)
+                if prep.conn_free and ctx.p > nvals:
+                    continue
+                found = search(ctx, prep, counters)
+                if found is None:
+                    continue
+                points = ctx.teeth + ctx.hubs if whole else ctx.teeth
+                valuation = {}
+                for v, mask in zip(prep.variables, found):
+                    chosen = frozenset(x for i, x in enumerate(points)
+                                       if mask >> i & 1)
+                    valuation[v] = (chosen if whole
+                                    else frame.rc_from_support(chosen))
+                model = Model(frame, valuation, frame_class)
+                result = SolveResult(SAT, model, n, COMPLETE, "bounded", tb,
+                                     {**counters,
+                                      "time": time.monotonic() - start})
+                return _verified(result, f)
+    except _Timeout:
+        return SolveResult(UNSAT_WITHIN_BOUND, None, n - 1, BOUNDED, "bounded",
+                           tb, {**counters, "aborted": True,
+                                "time": time.monotonic() - start})
     if tb is not None and max_points >= tb:
         return SolveResult(UNSAT, None, max_points, COMPLETE, "bounded", tb,
                            {**counters, "time": time.monotonic() - start})

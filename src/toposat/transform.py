@@ -361,8 +361,9 @@ def eq_normalize(f: Formula) -> Formula:
             return a
         if isinstance(a.left, Zero):
             return Eq(a.right, ZERO)
-        if (set_family or F.term_family(a.left) == "set"
-                or F.term_family(a.right) == "set"):
+        # a formula mixing the families raises in formula_family, so
+        # no term is a set term unless the formula is
+        if set_family:
             diff = Union(Inter(a.left, SetCompl(a.right)),
                          Inter(a.right, SetCompl(a.left)))
         else:

@@ -8,10 +8,11 @@ import pytest
 from toposat import formula as F
 from toposat.formula import Contact, Eq, Not, Var, Zero, parse
 from toposat.frames import Model, QuasiSawFrame
-from toposat.semantics import holds
-from toposat.solver import (SolveResult, SolverError, _ToothTypes,
-                            _admissible_types, canonical_saws,
-                            check_certificate, compile_bool, fork_bound,
+from toposat.semantics import eval_term, holds
+from toposat.solver import (SolveResult, SolverError, _Prep, _SawCtx, _Terms,
+                            _ToothTypes, _admissible_types, _cheap_rc,
+                            _cheap_set, canonical_saws,
+                            check_certificate, fork_bound,
                             forks_decide, sat_bounded, sat_forks, solve,
                             theoretical_bound)
 
@@ -66,7 +67,7 @@ def test_canonical_saws_counts():
     con = [sum(1 for _ in canonical_saws(n, connected=True))
            for n in range(1, 7)]
     assert con == [1, 1, 1, 2, 5, 13]
-    anti = [sum(1 for _ in canonical_saws(n, antichain=True))
+    anti = [sum(1 for _ in canonical_saws(n, hubs="antichain"))
             for n in range(1, 7)]
     assert anti == [1, 2, 3, 5, 8, 15]
 
@@ -153,18 +154,24 @@ def test_forks_decide():
     assert not forks_decide("B", "fence") and not forks_decide("S4u", "all")
 
 
+def _at_point(t, m, var_index):
+    """Whether the lone point of a one-point model of type m lies in t,
+    by the model checker."""
+    frame = QuasiSawFrame(["x"], [], {})
+    valuation = {v: frozenset(["x"] if m >> k & 1 else [])
+                 for v, k in var_index.items()}
+    return "x" in eval_term(Model(frame, valuation, "regc"), t)
+
+
 def _bit_order_types(v, zeros, ncontacts, want, var_index):
     """Reference: every type in the search's bit order (bit 0 decided
     first, False before True), filtered by admissibility and `want`."""
-    zero_fns = [compile_bool(t, var_index) for t in zeros]
-    ncontact_fns = [[compile_bool(t, var_index) for t in sigma]
-                    for sigma in ncontacts]
-    want_fn = compile_bool(want, var_index)
     order = sorted(range(1 << v), key=lambda m: [m >> k & 1 for k in range(v)])
     return [m for m in order
-            if not any(z(m) for z in zero_fns)
-            and not any(all(s(m) for s in sigma) for sigma in ncontact_fns)
-            and want_fn(m)]
+            if not any(_at_point(z, m, var_index) for z in zeros)
+            and not any(all(_at_point(s, m, var_index) for s in sigma)
+                        for sigma in ncontacts)
+            and _at_point(want, m, var_index)]
 
 
 def test_tooth_types_match_admissible_filter(rng):
@@ -175,12 +182,11 @@ def test_tooth_types_match_admissible_filter(rng):
         zeros = [rand_b_term(rng, names, 2) for _ in range(rng.randint(0, 2))]
         ncontacts = [(rand_b_term(rng, names, 2), rand_b_term(rng, names, 2))
                      for _ in range(rng.randint(0, 2))]
-        types = _ToothTypes(var_index, zeros, ncontacts)
-        admissible = _admissible_types(var_index, zeros, ncontacts)
+        types = _ToothTypes(_Terms(var_index), zeros, ncontacts, None)
+        admissible = _admissible_types(_Terms(var_index), zeros, ncontacts, None)
         for _ in range(3):
             want = rand_b_term(rng, names, 2)
-            fn = compile_bool(want, var_index)
-            expected = [m for m in admissible if fn(m)]
+            expected = [m for m in admissible if _at_point(want, m, var_index)]
             assert list(types.of(want)) == expected
             assert expected == _bit_order_types(len(names), zeros, ncontacts,
                                                 want, var_index)
@@ -191,11 +197,11 @@ def test_tooth_types_nested_iteration():
     # its own, while both are still being searched
     names = ["a", "b", "c"]
     var_index = {v: i for i, v in enumerate(names)}
-    types = _ToothTypes(var_index, [], [])
+    types = _ToothTypes(_Terms(var_index), [], [], None)
     a, b = Var("a"), F.Sum(Var("b"), Var("c"))
     pairs = [(m, n) for m in types.of(a) for n in types.of(b)]
     again = [(m, n) for m in types.of(a) for n in types.of(a)]
-    fresh = _ToothTypes(var_index, [], [])
+    fresh = _ToothTypes(_Terms(var_index), [], [], None)
     assert pairs == [(m, n) for m in list(fresh.of(a)) for n in list(fresh.of(b))]
     assert again == [(m, n) for m in list(fresh.of(a)) for n in list(fresh.of(a))]
 
@@ -232,3 +238,122 @@ def test_fork_route_decides_machine_formulas():
     assert accepts.status == "SAT" and accepts.method == "forks"
     rejects = solve(gadgets.gen_tm_formula(gadgets.tm_rejecter(), ()), "regc")
     assert rejects.status == "UNSAT" and rejects.method == "forks"
+
+
+def _rand_rc_formula(rng, names, depth=2):
+    """Random Boolean combination of equality, contact, relation, conn
+    and conn_le atoms over regular-closed terms."""
+    from conftest import rand_b_term
+    if depth == 0 or rng.random() < 0.3:
+        kind = rng.choice(["eq", "c", "c3", "rcc8", "conn", "conn_le"])
+        term = lambda: rand_b_term(rng, names, 2)
+        if kind == "eq":
+            return Eq(term(), term())
+        if kind in ("c", "c3"):
+            return Contact(tuple(term() for _ in range(2 + (kind == "c3"))))
+        if kind == "rcc8":
+            return F.Rcc8(rng.choice(F.RCC8_RELATIONS), term(), term())
+        if kind == "conn":
+            return F.Conn(term())
+        return F.ConnLe(rng.randint(1, 3), term())
+    op = rng.choice(["not", "and", "or", "imp"])
+    if op == "not":
+        return Not(_rand_rc_formula(rng, names, depth - 1))
+    cls = {"and": F.And, "or": F.Or, "imp": F.Implies}[op]
+    return cls(_rand_rc_formula(rng, names, depth - 1),
+               _rand_rc_formula(rng, names, depth - 1))
+
+
+def _rand_set_term(rng, names, depth):
+    if depth == 0 or rng.random() < 0.3:
+        return Var(rng.choice(names)) if rng.random() < 0.8 else F.One()
+    op = rng.choice(["union", "inter", "compl", "int", "cl"])
+    if op in ("union", "inter"):
+        cls = F.Union if op == "union" else F.Inter
+        return cls(_rand_set_term(rng, names, depth - 1),
+                   _rand_set_term(rng, names, depth - 1))
+    cls = {"compl": F.SetCompl, "int": F.Interior, "cl": F.Closure}[op]
+    return cls(_rand_set_term(rng, names, depth - 1))
+
+
+def _rand_set_formula(rng, names, depth=2):
+    if depth == 0 or rng.random() < 0.3:
+        term = _rand_set_term(rng, names, 3)
+        roll = rng.random()
+        if roll < 0.4:
+            return Eq(term, _rand_set_term(rng, names, 3))
+        return F.Conn(term) if roll < 0.7 else F.ConnLe(rng.randint(1, 3), term)
+    op = rng.choice(["not", "and", "or", "imp"])
+    if op == "not":
+        return Not(_rand_set_formula(rng, names, depth - 1))
+    cls = {"and": F.And, "or": F.Or, "imp": F.Implies}[op]
+    return cls(_rand_set_formula(rng, names, depth - 1),
+               _rand_set_formula(rng, names, depth - 1))
+
+
+def test_rc_leaf_agrees_with_model_checker(rng):
+    from conftest import rand_quasi_saw, rand_rc_valuation
+    names = ["a", "b", "c"]
+    truths = set()
+    for _ in range(400):
+        saw = rand_quasi_saw(rng)
+        valuation = rand_rc_valuation(rng, saw, names)
+        f = _rand_rc_formula(rng, names)
+        prep = _Prep(f, F.formula_family(f), None)
+        ctx = _SawCtx(saw, False)
+        supports = [sum(1 << i for i, t in enumerate(ctx.teeth)
+                        if t in valuation.get(v, ())) for v in prep.variables]
+        truth = holds(Model(saw, valuation, "regc"), f).truth
+        assert _cheap_rc(prep.goal, supports, ctx) == truth, f
+        truths.add(truth)
+    assert truths == {True, False}
+
+
+def test_set_leaf_agrees_with_model_checker(rng):
+    from conftest import rand_quasi_saw
+    names = ["a", "b"]
+    truths = set()
+    for _ in range(400):
+        saw = rand_quasi_saw(rng)
+        valuation = {v: frozenset(x for x in saw.points if rng.random() < 0.5)
+                     for v in names}
+        f = _rand_set_formula(rng, names)
+        prep = _Prep(f, "set", None)
+        ctx = _SawCtx(saw, True)
+        points = ctx.teeth + ctx.hubs
+        masks = [sum(1 << i for i, x in enumerate(points) if x in valuation[v])
+                 for v in prep.variables]
+        truth = holds(Model(saw, valuation, "all"), f).truth
+        assert _cheap_set(prep.goal, masks, ctx) == truth, f
+        truths.add(truth)
+    assert truths == {True, False}
+
+
+def _deep_term(depth):
+    """A term nested `depth` constructors deep."""
+    t = Var("a")
+    for i in range(depth - 1):
+        t = F.Compl(t) if i % 2 else F.Sum(t, Var("b"))
+    return t
+
+
+def test_deep_term_on_every_route():
+    t = _deep_term(300)
+    fork = F.conj([Contact((t, Var("b"))), Not(Eq(t, Zero()))])
+    r = solve(fork, "regc", 3)
+    assert r.status == "SAT" and r.method == "forks"
+    bounded = F.conj([F.Conn(t), Not(Eq(t, Zero())), Not(Contact((t, Var("c"))))])
+    r = solve(bounded, "regc", 3)
+    assert r.status == "SAT" and r.method == "bounded"
+    r = solve(F.conj([F.Conn(t), Not(Eq(t, Zero()))]), "fence", 3)
+    assert r.status == "SAT" and r.method == "bounded"
+
+
+def test_time_budget_checked_inside_the_search():
+    from toposat import gadgets
+    f = gadgets.gen_tm_formula(gadgets.tm_accepter(), ())
+    start = time.monotonic()
+    r = sat_bounded(f, "conregc", 5, time_budget=1.0)
+    assert time.monotonic() - start < 2.0
+    assert r.status == "UNSAT_WITHIN_BOUND" and r.stats.get("aborted") is True
+    assert r.bound_used < 5
