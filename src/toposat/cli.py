@@ -2,7 +2,6 @@
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 from typing import List, Optional
@@ -10,7 +9,7 @@ from typing import List, Optional
 from . import formula as F
 from . import gadgets, transform
 from .formula import FormulaError, ParseError, parse
-from .frames import FrameError, LoadError, load_model, model_to_json
+from .frames import FRAME_CLASSES, FrameError, LoadError, load_model, model_to_json
 from .semantics import SemanticsError, holds
 from .solver import (SAT, UNSAT, UNSAT_WITHIN_BOUND, SolverError, forks_decide,
                      sat_bounded, sat_forks, solve)
@@ -38,19 +37,6 @@ class RunConfig:
 
 class UsageError(Exception):
     """Bad invocation caught before any work starts."""
-
-
-def _threads() -> int:
-    """Worker cap from TOPOSAT_THREADS; the solver itself is sequential,
-    so any positive cap is honored."""
-    raw = os.environ.get("TOPOSAT_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise UsageError(f"TOPOSAT_THREADS must be an integer, got {raw!r}")
-    if n < 1:
-        raise UsageError("TOPOSAT_THREADS must be positive")
-    return n
 
 
 def _read_text(path: Optional[str]) -> str:
@@ -255,7 +241,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="formula file, or - for stdin")
         if with_frame:
             p.add_argument("--frame", default="regc",
-                           choices=["regc", "conregc", "fence", "all", "con"])
+                           choices=FRAME_CLASSES)
             p.add_argument("--bound", type=int, default=8)
             p.add_argument("--method", default="auto",
                            choices=["auto", "forks", "bounded"])
@@ -300,7 +286,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         input_path=getattr(args, "input", None) or getattr(args, "spec", None),
         output_path=args.output)
     try:
-        _threads()
         if config.bound < 1:
             raise UsageError("bound must be at least 1")
         if config.command == "sat":

@@ -18,7 +18,23 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 PointSet = FrozenSet[str]
 
+# How each frame class reads a formula, in one place: the regular-closed
+# classes range variables over regular closed sets, the others over
+# arbitrary sets, and the connected classes admit connected frames only.
 FRAME_CLASSES = ("regc", "conregc", "all", "con", "fence")
+RC_CLASSES = ("regc", "conregc", "fence")
+CONNECTED_CLASSES = ("conregc", "con")
+
+
+def family_mismatch(family: Optional[str], frame_class: str) -> Optional[str]:
+    """Why a formula whose terms are of `family` ('rc', 'set' or None, as
+    `formula.formula_family` says) cannot be read over `frame_class`, or
+    None when it can."""
+    if family == "rc" and frame_class not in RC_CLASSES:
+        return "regular-closed formula on a raw set frame class"
+    if family == "set" and frame_class in RC_CLASSES:
+        return "set-operator formula on a regular-closed frame class"
+    return None
 
 
 class FrameError(Exception):
@@ -181,12 +197,12 @@ class Model:
     def __post_init__(self):
         if self.frame_class not in FRAME_CLASSES:
             raise FrameError(f"unknown frame class {self.frame_class!r}")
+        rc = self.frame_class in RC_CLASSES
         for name, X in self.valuation.items():
             self.frame.check_subset(X)
-            if self.frame_class in ("regc", "conregc", "fence"):
-                if not self.frame.is_regular_closed(X):
-                    raise FrameError(f"valuation of {name!r} is not regular closed")
-        if self.frame_class in ("conregc", "con") and not self.frame.is_connected():
+            if rc and not self.frame.is_regular_closed(X):
+                raise FrameError(f"valuation of {name!r} is not regular closed")
+        if self.frame_class in CONNECTED_CLASSES and not self.frame.is_connected():
             raise FrameError(f"frame class {self.frame_class!r} requires a connected frame")
         if self.frame_class == "fence":
             fence_cells(self.frame)
@@ -348,13 +364,13 @@ def subspace_model(model: Model, s: str) -> Model:
     sub = QuasiOrderFrame(S, edges)
     valuation = {}
     for name, X in model.valuation.items():
-        if model.frame_class in ("regc", "conregc", "fence"):
+        if model.frame_class in RC_CLASSES:
             # ambient product s*r; lands inside S and is RC in the subspace
             valuation[name] = frame.closure(frame.interior(S & X))
         else:
             valuation[name] = S & X
     frame_class = model.frame_class
-    if frame_class in ("conregc", "con") and not sub.is_connected():
+    if frame_class in CONNECTED_CLASSES and not sub.is_connected():
         frame_class = {"conregc": "regc", "con": "all"}[frame_class]
     if frame_class == "fence":
         frame_class = "regc"
@@ -413,7 +429,7 @@ def load_model(data) -> Model:
         except FrameError as e:
             raise LoadError("E_FRAME", str(e)) from None
         saw = as_quasi_saw(frame)
-        if saw is not None and frame_class in ("regc", "conregc", "fence"):
+        if saw is not None and frame_class in RC_CLASSES:
             frame = saw
     valuation = {}
     for name, members in data.get("valuation", {}).items():

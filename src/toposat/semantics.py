@@ -10,15 +10,11 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from . import formula as F
-from .frames import Model, PointSet, QuasiOrderFrame
+from .frames import Model, PointSet, QuasiOrderFrame, family_mismatch
 
 
 class SemanticsError(Exception):
     """Evaluation failure: unbound variable or language/frame mismatch."""
-
-
-RC_CLASSES = ("regc", "conregc", "fence")
-SET_CLASSES = ("all", "con")
 
 
 @dataclass
@@ -61,11 +57,9 @@ def eval_term(model: Model, t: F.Term) -> PointSet:
 
 
 def check_family(model: Model, f: F.Formula):
-    family = F.formula_family(f)
-    if family == "rc" and model.frame_class in SET_CLASSES:
-        raise SemanticsError("regular-closed formula on a raw set frame class")
-    if family == "set" and model.frame_class in RC_CLASSES:
-        raise SemanticsError("set-operator formula on a regular-closed frame class")
+    problem = family_mismatch(F.formula_family(f), model.frame_class)
+    if problem is not None:
+        raise SemanticsError(problem)
 
 
 def _rcc8_truth(model: Model, rel: str, X: PointSet, Y: PointSet) -> bool:
@@ -160,11 +154,9 @@ def count_components(model: Model, t: F.Term) -> int:
     return len(model.frame.components(eval_term(model, t)))
 
 
-EMPTY_MODEL = Model(QuasiOrderFrame([], []), {}, "regc")
-
-
 def empty_space_eval(f: F.Formula) -> bool:
     """Truth of f in the unique model over the empty frame."""
     frame_class = "all" if F.formula_family(f) == "set" else "regc"
-    model = Model(EMPTY_MODEL.frame, {v: frozenset() for v in F.variables(f)}, frame_class)
+    model = Model(QuasiOrderFrame([], []),
+                  {v: frozenset() for v in F.variables(f)}, frame_class)
     return holds(model, f).truth

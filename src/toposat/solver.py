@@ -8,8 +8,10 @@ is realized on its own fork, whose tooth types a bit-level search finds
 on demand among those the universal literals admit. `sat_bounded` is
 an iterative-deepening search over canonical quasi-saws (linear fences
 in fence mode) with depth-0 supports driving the valuations; it reports
-a complete verdict only when the requested bound reaches the
-theoretical finite-model bound of the input.
+a complete refutation only when the requested bound reaches a proven
+finite-model bound, which is known for the fork languages alone. The
+frame class says whether variables range over regular closed sets or
+over arbitrary sets (`frames.RC_CLASSES`).
 
 Both routes share one term compiler, `_Terms`, which turns a term once
 into functions of per-variable masks. Read at one point under a partial
@@ -35,8 +37,10 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
 
 from . import formula as F
 from .formula import And, Conn, ConnLe, Contact, Eq, Formula, Not
-from .frames import Model, QuasiSawFrame, make_fence, make_fork_frame, connectify
-from .semantics import empty_space_eval, holds
+from .frames import (CONNECTED_CLASSES, FRAME_CLASSES, RC_CLASSES, Model,
+                     QuasiSawFrame, connectify, family_mismatch, make_fence,
+                     make_fork_frame)
+from .semantics import holds
 from .transform import eq_normalize, nnf, rcc8_to_c
 
 
@@ -404,11 +408,11 @@ def theoretical_bound(f: Formula, frame_class: str) -> Optional[int]:
 
 
 def _theoretical_bound(f: Formula, frame_class: str, tag: str) -> Optional[int]:
-    if frame_class == "fence":
-        return None
+    """The fork bound where the fork procedure decides; no bound is proven
+    for connectedness atoms, set operators or fences."""
     if forks_decide(tag, frame_class):
         return fork_bound(f) + (frame_class == "conregc")
-    return 2 ** len(F.subterm_closure(f))
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -417,16 +421,17 @@ def _theoretical_bound(f: Formula, frame_class: str, tag: str) -> Optional[int]:
 def sat_forks(f: Formula, frame_class: str = "regc") -> SolveResult:
     """Complete satisfiability for contact formulas without
     connectedness atoms, over the regular-closed frame classes."""
+    start = time.monotonic()
     tag = F.classify(f)
     if not forks_decide(tag, frame_class):
         raise SolverError(f"the fork procedure decides B, RCC8, C and Cm over "
                           f"regc and B and RCC8 over conregc, got {tag} over "
                           f"{frame_class}")
-    return _sat_forks(f, frame_class, tag)
+    return _sat_forks(f, frame_class, tag, start)
 
 
-def _sat_forks(f: Formula, frame_class: str, tag: str) -> SolveResult:
-    start = time.monotonic()
+def _sat_forks(f: Formula, frame_class: str, tag: str,
+               start: float) -> SolveResult:
     g = eq_normalize(rcc8_to_c(f))
     skeleton, table = F.propositional_skeleton(g)
     variables = sorted(F.variables(g))
@@ -682,13 +687,13 @@ def _conjuncts(g: Formula) -> Iterator[Formula]:
 
 class _Prep:
     """Formula preprocessed for the bounded search: the normalized goal,
-    compiled once, plus filters read off its top-level conjuncts."""
+    compiled once, plus filters read off its top-level conjuncts. Its
+    variables range over arbitrary sets when `whole`, over regular closed
+    sets otherwise; only the latter take relation atoms."""
 
-    def __init__(self, f: Formula, family: Optional[str],
-                 deadline: Optional[float]):
-        self.family = family
+    def __init__(self, f: Formula, whole: bool, deadline: Optional[float]):
         self.deadline = deadline
-        goal = nnf(eq_normalize(f if family == "set" else rcc8_to_c(f)))
+        goal = nnf(eq_normalize(f if whole else rcc8_to_c(f)))
         self.variables = sorted(F.variables(f))
         self.var_index = {v: i for i, v in enumerate(self.variables)}
         self.point = _Terms(self.var_index)
@@ -704,7 +709,7 @@ class _Prep:
                 self.zero_terms.append(g.left)
             elif isinstance(g, Not) and isinstance(g.arg, Contact):
                 self.ncontact_terms.append(g.arg.terms)
-            elif isinstance(g, (Conn, ConnLe)) and family != "set":
+            elif isinstance(g, (Conn, ConnLe)) and not whole:
                 self.conn_bounds.append(
                     (self.point(g.term)[0],
                      g.k if isinstance(g, ConnLe) else 1))
@@ -712,7 +717,7 @@ class _Prep:
         # the points in some zero term, as a mask, for the hub types of
         # the power-set classes
         self.zero_points = (reduce(_or, [masks(t) for t in self.zero_terms])
-                            if family == "set" and self.zero_terms else None)
+                            if whole and self.zero_terms else None)
         self._admissible = None
 
     def admissible_types(self) -> List[int]:
@@ -738,7 +743,9 @@ def _place_teeth(ctx: _SawCtx, prep: _Prep, counters: Dict,
                  fits: Callable, done: Callable):
     """Admissible depth-0 types for the teeth in order, each type once
     when no conn atom occurs; a tooth with the same hubs as the one
-    before takes a later type, or the same one when both are isolated.
+    before takes a later type, or the same one when both are isolated or
+    the sets are arbitrary (a set holding both teeth but not their hub
+    has two components).
     `fits(types, i)` prunes once tooth i is typed; `done(types)` gives
     the answer for a complete typing, or None to go on."""
     p = ctx.p
@@ -756,7 +763,7 @@ def _place_teeth(ctx: _SawCtx, prep: _Prep, counters: Dict,
         lo = 0
         if ctx.same_col_as_prev[i]:
             lo = rank[types[i - 1]]
-            if not ctx.isolated[i]:
+            if not (ctx.isolated[i] or ctx.whole):
                 lo += 1
         for m in admissible[lo:]:
             if prep.conn_free and m in used:
@@ -853,65 +860,68 @@ def _search_set(ctx: _SawCtx, prep: _Prep, counters: Dict) -> Optional[List[int]
 # Bounded satisfiability
 
 def _frames_at(n: int, frame_class: str, prep: _Prep) -> Iterator[QuasiSawFrame]:
-    cap = (1 << len(prep.variables)) if prep.conn_free else None
     if frame_class == "fence":
         if n % 2 == 1:
             yield make_fence((n + 1) // 2)
-    elif frame_class == "regc":
-        if prep.conn_free:
-            for arities in _fork_partitions(n):
-                yield make_fork_frame(arities)
-        else:
-            yield from canonical_saws(n, False, "antichain")
-    elif frame_class == "conregc":
-        yield from canonical_saws(n, True, "antichain", cap)
-    elif frame_class in ("all", "con"):
-        yield from canonical_saws(n, frame_class == "con", "repeated", cap)
+    elif frame_class == "regc" and prep.conn_free:
+        for arities in _fork_partitions(n):
+            yield make_fork_frame(arities)
     else:
-        raise SolverError(f"unknown frame class {frame_class!r}")
-
-
-def _check_class(family: Optional[str], frame_class: str):
-    if family == "rc" and frame_class in ("all", "con"):
-        raise SolverError("regular-closed formula on a raw set frame class")
-    if family == "set" and frame_class in ("regc", "conregc", "fence"):
-        raise SolverError("set-operator formula on a regular-closed frame class")
+        # hubs over the same teeth differ only where sets are arbitrary
+        yield from canonical_saws(
+            n, frame_class in CONNECTED_CLASSES,
+            "antichain" if frame_class in RC_CLASSES else "repeated",
+            (1 << len(prep.variables)) if prep.conn_free else None)
 
 
 def _empty_sat(f: Formula, frame_class: str, tb, start) -> Optional[SolveResult]:
-    if frame_class == "fence" or not empty_space_eval(f):
+    """The model over the empty space, when it satisfies f. The search
+    starts at one point, and a fence has at least one interval."""
+    if frame_class == "fence":
         return None
-    frame = QuasiSawFrame([], [], {})
-    model = Model(frame, {v: frozenset() for v in F.variables(f)}, frame_class)
-    result = SolveResult(SAT, model, 0, COMPLETE, "bounded", tb,
-                         {"nodes": 0, "frames": 0,
-                          "time": time.monotonic() - start})
-    return _verified(result, f)
+    model = Model(QuasiSawFrame([], [], {}),
+                  {v: frozenset() for v in F.variables(f)}, frame_class)
+    if not check_certificate(model, f):
+        return None
+    return SolveResult(SAT, model, 0, COMPLETE, "bounded", tb,
+                       {"nodes": 0, "frames": 0,
+                        "time": time.monotonic() - start})
 
 
 def sat_bounded(f: Formula, frame_class: str = "regc", max_points: int = 8,
                 time_budget: Optional[float] = None) -> SolveResult:
     """Iterative-deepening satisfiability over canonical frames of the
     requested class, up to max_points points. A negative verdict is
-    complete only when max_points reaches the theoretical bound."""
-    return _sat_bounded(f, frame_class, max_points, time_budget,
+    complete only when max_points reaches the theoretical bound, which
+    is known for the fork languages only."""
+    start = time.monotonic()
+    return _sat_bounded(f, frame_class, max_points, time_budget, start,
                         F.classify(f), F.formula_family(f))
 
 
 def _sat_bounded(f: Formula, frame_class: str, max_points: int,
-                 time_budget: Optional[float], tag: str,
+                 time_budget: Optional[float], start: float, tag: str,
                  family: Optional[str]) -> SolveResult:
+    """The bounded search; its clock and budget run from `start`."""
     if max_points < 0:
         raise SolverError("bound must be nonnegative")
-    _check_class(family, frame_class)
-    start = time.monotonic()
+    if frame_class not in FRAME_CLASSES:
+        raise SolverError(f"unknown frame class {frame_class!r}")
+    # the goal's contact is the regular-closed one, so over the power-set
+    # classes only the Boolean and S4u languages are read
+    whole = frame_class not in RC_CLASSES
+    problem = family_mismatch(family, frame_class)
+    if problem is None and whole and not tag.startswith(("B", "S4u")):
+        problem = (f"contact and relation atoms ({tag}) take a "
+                   f"regular-closed frame class")
+    if problem is not None:
+        raise SolverError(problem)
     tb = _theoretical_bound(f, frame_class, tag)
     got = _empty_sat(f, frame_class, tb, start)
     if got is not None:
         return got
     deadline = None if time_budget is None else start + time_budget
-    prep = _Prep(f, family, deadline)
-    whole = prep.family == "set"
+    prep = _Prep(f, whole, deadline)
     nvals = 1 << len(prep.variables)
     counters = {"nodes": 0, "frames": 0}
     search = _search_set if whole else _search_rc
@@ -956,8 +966,9 @@ def solve(f: Formula, frame_class: str = "regc", max_points: int = 8,
           time_budget: Optional[float] = None) -> SolveResult:
     """Route to the complete fork procedure when it applies, else to the
     bounded search."""
+    start = time.monotonic()
     tag = F.classify(f)
     if forks_decide(tag, frame_class):
-        return _sat_forks(f, frame_class, tag)
-    return _sat_bounded(f, frame_class, max_points, time_budget, tag,
+        return _sat_forks(f, frame_class, tag, start)
+    return _sat_bounded(f, frame_class, max_points, time_budget, start, tag,
                         F.formula_family(f))

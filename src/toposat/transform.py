@@ -113,14 +113,6 @@ def nnf(f: Formula) -> Formula:
 # ---------------------------------------------------------------------------
 # Relation atoms to contact
 
-def _leq(t1, t2):
-    return Eq(Prod(t1, Compl(t2)), ZERO)
-
-
-def _nleq(t1, t2):
-    return Not(_leq(t1, t2))
-
-
 def rcc8_to_c(f: Formula) -> Formula:
     """Expand every binary-relation atom into contact/equality form."""
 
@@ -140,11 +132,13 @@ def rcc8_to_c(f: Formula) -> Formula:
         if rel == "EC":
             return And(Eq(Prod(t1, t2), ZERO), Contact((t1, t2)))
         if rel == "PO":
-            return conj([Not(Eq(Prod(t1, t2), ZERO)), _nleq(t1, t2), _nleq(t2, t1)])
+            return conj([Not(Eq(Prod(t1, t2), ZERO)), Not(F.leq(t1, t2)),
+                         Not(F.leq(t2, t1))])
         if rel == "TPP":
-            return conj([_leq(t1, t2), Contact((t1, Compl(t2))), _nleq(t2, t1)])
+            return conj([F.leq(t1, t2), Contact((t1, Compl(t2))),
+                         Not(F.leq(t2, t1))])
         if rel == "NTPP":
-            return And(Not(Contact((t1, Compl(t2)))), _nleq(t2, t1))
+            return And(Not(Contact((t1, Compl(t2)))), Not(F.leq(t2, t1)))
         raise TransformError(f"unknown relation {rel!r}")
 
     return _map_atoms(f, expand)
@@ -288,8 +282,8 @@ def eliminate_contact_pos(f: Formula, index: int = 0,
     guard = Implies(
         Eq(t, ZERO),
         conj([Conn(Sum(t1, t2)),
-              Not(Eq(t1, ZERO)), _leq(t1, tau1), Conn(t1),
-              Not(Eq(t2, ZERO)), _leq(t2, tau2), Conn(t2)]))
+              Not(Eq(t1, ZERO)), F.leq(t1, tau1), Conn(t1),
+              Not(Eq(t2, ZERO)), F.leq(t2, tau2), Conn(t2)]))
     return Or(_epsilon(f), And(replaced, guard))
 
 
@@ -316,8 +310,8 @@ def eliminate_contact_neg(f: Formula, index: int = 0, connected: bool = False,
         relativize(replaced, s.name),
         Implies(Eq(Prod(t, s), ZERO),
                 conj([Not(Conn(Sum(t1, t2))),
-                      Conn(t1), _leq(Prod(tau1, s), t1),
-                      Conn(t2), _leq(Prod(tau2, s), t2)])),
+                      Conn(t1), F.leq(Prod(tau1, s), t1),
+                      Conn(t2), F.leq(Prod(tau2, s), t2)])),
     ])
     out = Or(_epsilon(f), body)
     if connected:

@@ -66,13 +66,12 @@ def test_usage_error_exit(capsys, monkeypatch):
     assert code == 1
 
 
-def test_threads_env_validation(capsys, monkeypatch):
-    monkeypatch.setenv("TOPOSAT_THREADS", "0")
-    code, _out, err = run(capsys, monkeypatch, ["sat"], stdin="a != 0\n")
-    assert code == 1 and "TOPOSAT_THREADS" in err
-    monkeypatch.setenv("TOPOSAT_THREADS", "4")
-    code, _out, _err = run(capsys, monkeypatch, ["sat"], stdin="a != 0\n")
-    assert code == 10
+def test_contact_on_a_power_set_class_is_an_error(capsys, monkeypatch):
+    for frame_class, text in (("all", "C(a, b)"), ("con", "DC(a, b)")):
+        code, out, err = run(capsys, monkeypatch,
+                             ["sat", "--frame", frame_class], stdin=text + "\n")
+        assert code == 1 and out == ""
+        assert err.startswith("error:")
 
 
 def test_valid_dual_verdicts(capsys, monkeypatch):

@@ -8,7 +8,7 @@ import pytest
 from toposat import formula as F
 from toposat.formula import Contact, Eq, Not, Var, Zero, parse
 from toposat.frames import Model, QuasiSawFrame
-from toposat.semantics import eval_term, holds
+from toposat.semantics import atom_truth, eval_term, holds
 from toposat.solver import (SolveResult, SolverError, _Prep, _SawCtx, _Terms,
                             _ToothTypes, _admissible_types, _cheap_rc,
                             _cheap_set, canonical_saws,
@@ -28,6 +28,28 @@ def test_fork_bound():
 def test_theoretical_bound():
     assert theoretical_bound(parse("C(a, b)"), "regc") == 3
     assert theoretical_bound(parse("conn(a)"), "fence") is None
+    assert theoretical_bound(parse("conn(a)"), "regc") is None
+    assert theoretical_bound(parse("x ^ y = 0"), "all") is None
+
+
+def test_refutation_complete_only_for_the_fork_languages(rng):
+    # the smallest models, one point past the bound, exceed
+    # 2 ** |subterm closure| points (2 and 4)
+    cases = [("!conn_le(3, a)", "regc", 3),
+             ("!conn(r1) & conn(1)", "conregc", 4)]     # corpus "two-fork"
+    for text, frame_class, bound in cases:
+        f = parse(text)
+        r = solve(f, frame_class, bound)
+        assert r.status == "UNSAT_WITHIN_BOUND" and r.completeness == "BOUNDED"
+        assert r.bound_used == bound
+        r = solve(f, frame_class, bound + 1)
+        assert r.status == "SAT" and holds(r.certificate, f).truth
+    from conftest import rand_bc_formula
+    for i in range(60):
+        f = rand_bc_formula(rng, ["a", "b"])
+        frame_class = ("regc", "conregc")[i % 2]
+        r = solve(f, frame_class, 3)
+        assert r.status != "UNSAT" or forks_decide(F.classify(f), frame_class)
 
 
 def test_sat_forks_satisfiable():
@@ -112,6 +134,13 @@ def test_sat_bounded_guards():
         sat_bounded(parse("C(a, b)"), "regc", -1)
     with pytest.raises(SolverError):
         sat_bounded(parse("~x = 0"), "regc", 3)
+    with pytest.raises(SolverError):
+        sat_bounded(parse("-a = 0"), "all", 3)
+    # the power-set classes read the Boolean and S4u languages only
+    for text, frame_class in (("C(a, b)", "all"), ("DC(a, b)", "con"),
+                              ("C(a, b, c) & conn(a)", "con")):
+        with pytest.raises(SolverError):
+            solve(parse(text), frame_class, 3)
 
 
 def test_solve_routes_forks():
@@ -144,6 +173,55 @@ def test_forks_agree_with_bounded(rng):
         slow = sat_bounded(f, "regc", fork_bound(f))
         assert (quick.status == "SAT") == (slow.status == "SAT")
         assert slow.status in ("SAT", "UNSAT")
+
+
+def test_set_classes_read_arbitrary_sets():
+    """Formulas without set operators range over arbitrary sets on the
+    power-set classes too."""
+    # a = {z0, z1}, two hubs over one tooth outside a
+    for text in ("!conn(a)", "!conn(a) & conn(b)"):
+        f = parse(text)
+        r = solve(f, "con", 3)
+        assert r.status == "SAT" and len(r.certificate.frame.points) == 3
+        assert r.certificate.frame_class == "con"
+        assert holds(r.certificate, f).truth
+    # a holds two teeth of one type but not the hub between them; no
+    # other connected 3-point model has a disconnected interior
+    f = parse("!conn(int(a))")
+    r = solve(f, "con", 3)
+    assert r.status == "SAT" and holds(r.certificate, f).truth
+    assert len(r.certificate.valuation["a"]) == 2
+
+
+def _set_atom(rng, names):
+    term = _rand_set_term(rng, names, 2)
+    kind = rng.choice(["eq", "conn", "conn_le"])
+    if kind == "eq":
+        return Eq(term, _rand_set_term(rng, names, 2))
+    return F.Conn(term) if kind == "conn" else F.ConnLe(rng.randint(1, 2), term)
+
+
+def test_set_classes_find_planted_models(rng):
+    """Conjunctions true in a random model over arbitrary sets on a
+    quasi-saw with hubs, solved at that model's size."""
+    from conftest import rand_quasi_saw
+    names = ["a", "b"]
+    for i in range(300):
+        frame_class = ("all", "con")[i % 2]
+        saw = rand_quasi_saw(rng, connected=frame_class == "con")
+        while not saw.depth1:
+            saw = rand_quasi_saw(rng, connected=frame_class == "con")
+        valuation = {v: frozenset(x for x in saw.points if rng.random() < 0.5)
+                     for v in names}
+        model = Model(saw, valuation, frame_class)
+        literals = []
+        for _ in range(4):
+            atom = _set_atom(rng, names)
+            literals.append(atom if atom_truth(model, atom) else Not(atom))
+        f = F.conj(literals)
+        r = solve(f, frame_class, len(saw))
+        assert r.status == "SAT", (F.print_formula(f), frame_class, len(saw))
+        assert holds(r.certificate, f).truth
 
 
 def test_forks_decide():
@@ -299,7 +377,7 @@ def test_rc_leaf_agrees_with_model_checker(rng):
         saw = rand_quasi_saw(rng)
         valuation = rand_rc_valuation(rng, saw, names)
         f = _rand_rc_formula(rng, names)
-        prep = _Prep(f, F.formula_family(f), None)
+        prep = _Prep(f, False, None)
         ctx = _SawCtx(saw, False)
         supports = [sum(1 << i for i, t in enumerate(ctx.teeth)
                         if t in valuation.get(v, ())) for v in prep.variables]
@@ -318,7 +396,7 @@ def test_set_leaf_agrees_with_model_checker(rng):
         valuation = {v: frozenset(x for x in saw.points if rng.random() < 0.5)
                      for v in names}
         f = _rand_set_formula(rng, names)
-        prep = _Prep(f, "set", None)
+        prep = _Prep(f, True, None)
         ctx = _SawCtx(saw, True)
         points = ctx.teeth + ctx.hubs
         masks = [sum(1 << i for i, x in enumerate(points) if x in valuation[v])
@@ -357,3 +435,13 @@ def test_time_budget_checked_inside_the_search():
     assert time.monotonic() - start < 2.0
     assert r.status == "UNSAT_WITHIN_BOUND" and r.stats.get("aborted") is True
     assert r.bound_used < 5
+
+
+def test_time_budget_clock_starts_on_entry():
+    from toposat import gadgets
+    f = gadgets.gen_tm_formula(gadgets.tm_accepter(), ())
+    for run in (sat_bounded, solve):
+        start = time.monotonic()
+        r = run(f, "conregc", 5, time_budget=1.0)
+        assert time.monotonic() - start - r.stats["time"] < 0.05
+        assert r.stats.get("aborted") is True
