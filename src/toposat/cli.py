@@ -78,9 +78,12 @@ def cmd_sat(config: RunConfig) -> int:
         lines.append(json.dumps(model_to_json(result.certificate),
                                 sort_keys=True, indent=2))
     if not config.deterministic:
-        lines.append(f"completeness={result.completeness} "
-                     f"frames={result.stats.get('frames', 0)} "
-                     f"nodes={result.stats.get('nodes', 0)}")
+        stats = (f"completeness={result.completeness} "
+                 f"frames={result.stats.get('frames', 0)} "
+                 f"nodes={result.stats.get('nodes', 0)}")
+        if "saturated_at" in result.stats:
+            stats += f" saturated_at={result.stats['saturated_at']}"
+        lines.append(stats)
     _write_text(config.output_path, "\n".join(lines) + "\n")
     return _STATUS_EXIT[result.status]
 

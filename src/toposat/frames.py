@@ -257,7 +257,8 @@ def fence_cells(frame: QuasiOrderFrame) -> List[Tuple[str, str]]:
 
 
 def make_fence(n_intervals: int) -> QuasiSawFrame:
-    """Linear fence with n interval cells and n-1 boundary points."""
+    """Linear fence with n interval cells, i0 to i{n-1} from left to
+    right, and the n-1 boundary points between them."""
     if n_intervals < 1:
         raise FrameError("fence needs at least one interval cell")
     depth0 = [f"i{j}" for j in range(n_intervals)]

@@ -5,9 +5,10 @@ is the complete NP procedure for contact languages without
 connectedness predicates: a pruned search over the propositional
 skeleton yields satisfying literal sets, and each existential literal
 is realized on its own fork, whose tooth types a bit-level search finds
-on demand among those the universal literals admit. `sat_bounded` is
-an iterative-deepening search over canonical quasi-saws (linear fences
-in fence mode) with depth-0 supports driving the valuations; it reports
+on demand among those the universal literals admit. `sat_bounded`
+searches canonical quasi-saws one size at a time, with depth-0 supports
+driving the valuations, and fences by one left-to-right sweep over
+deduplicated states, one interval per step (`_sweep_fence`); it reports
 a complete refutation only when the requested bound reaches a proven
 finite-model bound, which is known for the fork languages alone. The
 frame class says whether variables range over regular closed sets or
@@ -20,8 +21,8 @@ gives dual rails, a "surely in" and a "surely out" bit, which is
 Kleene's three-valued logic. Read over complete masks, of a quasi-saw's
 teeth (regular closed regions) or of all its points (the power-set
 classes), the out-rail is the complement of the in-rail. The normalized
-goal is compiled once per bounded run, and one routine counts
-components.
+goal is compiled once per bounded run, its Boolean structure by one
+routine whatever reads its atoms, and one routine counts components.
 
 Every satisfying result is re-verified against the plain model checker
 before it is returned.
@@ -31,7 +32,7 @@ import copy
 import itertools
 import math
 import time
-from functools import reduce
+from functools import cached_property, reduce
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -197,26 +198,36 @@ class _MaskTerms(_Terms):
     closure = staticmethod(lambda a: lambda V, C: C.closure(a(V, C)))
 
 
-def _goal(g: Formula, terms: _MaskTerms) -> Callable:
+def _goal(g: Formula, atom: Callable) -> Callable:
     """A normalized goal (negation on atoms only, no implications, no
-    relation atoms) as one function of (V, C)."""
+    relation atoms) as one function of (V, C); `atom` compiles each atom
+    into one."""
     if isinstance(g, (And, F.Or)):
-        a, b = _goal(g.left, terms), _goal(g.right, terms)
+        a, b = _goal(g.left, atom), _goal(g.right, atom)
         return (_both if isinstance(g, And) else _either)(a, b)
     if isinstance(g, Not):
-        a = _goal(g.arg, terms)
+        a = _goal(g.arg, atom)
         return lambda V, C: not a(V, C)
-    if isinstance(g, Eq):
-        left, right = terms(g.left), terms(g.right)
-        return lambda V, C: left(V, C) == right(V, C)
-    if isinstance(g, Contact):
-        ys = [terms(t) for t in g.terms]
-        return lambda V, C: C.contact([y(V, C) for y in ys])
-    if isinstance(g, (Conn, ConnLe)):
+    if isinstance(g, (Eq, Contact, Conn, ConnLe)):
+        return atom(g)
+    raise SolverError(f"not a normalized formula: {g!r}")
+
+
+def _mask_atom(terms: _MaskTerms) -> Callable:
+    """Atoms as functions of (V, C) for `_MaskTerms`."""
+
+    def atom(g):
+        if isinstance(g, Eq):
+            left, right = terms(g.left), terms(g.right)
+            return lambda V, C: left(V, C) == right(V, C)
+        if isinstance(g, Contact):
+            ys = [terms(t) for t in g.terms]
+            return lambda V, C: C.contact([y(V, C) for y in ys])
         y = terms(g.term)
         k = g.k if isinstance(g, ConnLe) else 1
         return lambda V, C: len(C.components(y(V, C))) <= k
-    raise SolverError(f"not a normalized formula: {g!r}")
+
+    return atom
 
 
 def _components(x: int, links: Iterable[int]) -> List[int]:
@@ -248,11 +259,11 @@ def _var_indices(terms: Iterable[F.Term], var_index: Dict[str, int]) -> set:
 
 
 class _HubCheck:
-    """Forbidden contacts seen from a hub, over per-type masks: bit s of
+    """Contacts seen from a hub, over per-type masks: bit s of
     masks(m)[r] says a point of type m lies in term r of contact s, and a
     contact of fewer than r + 1 terms has bit s set at position r anyway.
-    A hub sees contact s, which is then violated, when for every position
-    one of its teeth has bit s there."""
+    A hub sees contact s when for every position one of its teeth has
+    bit s there; a forbidden contact seen is violated."""
 
     def __init__(self, contacts: Sequence[Sequence[F.Term]], point: _Terms):
         width = max(map(len, contacts), default=0)
@@ -273,15 +284,19 @@ class _HubCheck:
                                     for terms in self.terms]
         return got
 
-    def sees(self, types: Iterable[int]) -> bool:
-        """Whether a hub over teeth of these types sees a forbidden contact."""
+    def seen(self, types: Iterable[int]) -> int:
+        """The contacts a hub over teeth of these types sees, as a mask."""
         if not self.pad:
-            return False
+            return 0
         seen = list(self.pad)
         for m in types:
             for r, mask in enumerate(self.masks(m)):
                 seen[r] |= mask
-        return reduce(int.__and__, seen) != 0
+        return reduce(int.__and__, seen)
+
+    def sees(self, types: Iterable[int]) -> bool:
+        """Whether a hub over teeth of these types sees a forbidden contact."""
+        return self.seen(types) != 0
 
 
 class _ToothTypes:
@@ -508,10 +523,7 @@ def _find_fork(terms, types: _ToothTypes, hub: _HubCheck):
 
 def _finish(f, model, frame_class, tag, start, nodes):
     if frame_class == "conregc" and not model.frame.is_connected():
-        if model.frame.points:
-            model = connectify(model, "b" if tag == "B" else "rcc8")
-        else:
-            model = Model(model.frame, model.valuation, "conregc")
+        model = connectify(model, "b" if tag == "B" else "rcc8")
     elif frame_class == "conregc":
         model = Model(model.frame, model.valuation, "conregc")
     result = SolveResult(SAT, model, len(model.frame.points), COMPLETE, "forks",
@@ -686,19 +698,19 @@ def _conjuncts(g: Formula) -> Iterator[Formula]:
 
 
 class _Prep:
-    """Formula preprocessed for the bounded search: the normalized goal,
-    compiled once, plus filters read off its top-level conjuncts. Its
+    """Formula preprocessed for the bounded search: the normalized goal
+    (`normal`), compiled once over a quasi-saw's masks on first use
+    (`goal`), plus filters read off its top-level conjuncts. Its
     variables range over arbitrary sets when `whole`, over regular closed
     sets otherwise; only the latter take relation atoms."""
 
     def __init__(self, f: Formula, whole: bool, deadline: Optional[float]):
         self.deadline = deadline
-        goal = nnf(eq_normalize(f if whole else rcc8_to_c(f)))
+        self.normal = goal = nnf(eq_normalize(f if whole else rcc8_to_c(f)))
         self.variables = sorted(F.variables(f))
         self.var_index = {v: i for i, v in enumerate(self.variables)}
         self.point = _Terms(self.var_index)
-        masks = _MaskTerms(self.var_index)
-        self.goal = _goal(goal, masks)
+        self.masks = masks = _MaskTerms(self.var_index)
         self.conn_free = not any(isinstance(a, (Conn, ConnLe))
                                  for a in F.atoms(f))
         self.zero_terms = []
@@ -719,6 +731,11 @@ class _Prep:
         self.zero_points = (reduce(_or, [masks(t) for t in self.zero_terms])
                             if whole and self.zero_terms else None)
         self._admissible = None
+
+    @cached_property
+    def goal(self) -> Callable:
+        """The normalized goal over the masks of a quasi-saw's points."""
+        return _goal(self.normal, _mask_atom(self.masks))
 
     def admissible_types(self) -> List[int]:
         """The admissible depth-0 types; `inside[m]` then has bit c set
@@ -857,13 +874,168 @@ def _search_set(ctx: _SawCtx, prep: _Prep, counters: Dict) -> Optional[List[int]
 
 
 # ---------------------------------------------------------------------------
+# Fences: one forward sweep
+
+class _FenceSteps:
+    """The goal read along a fence, one interval at a time. A boundary
+    point sees exactly the two intervals beside it, so all that a fence
+    tells the goal is a state of three parts:
+    - the last interval's type;
+    - the atoms witnessed so far, as a mask: a difference l != r by one
+      interval, a contact by one interval or by the two beside one
+      boundary point (the positions of `_HubCheck`, over the goal's
+      contacts);
+    - for each conn or conn_le atom, the number of runs of its term's
+      support (its components on a fence), clipped one past its bound.
+    `goal(witnessed, counts)` is the goal's truth on such a fence.
+    Adding an interval begins at most one run per term, so the counts
+    only grow, and a top-level bound (`limit`) once exceeded stays so."""
+
+    def __init__(self, prep: _Prep):
+        self.prep = prep
+        atoms = list({id(a): a for a in F.atoms(prep.normal)}.values())
+        contacts = [a for a in atoms if isinstance(a, Contact)]
+        diffs = [a for a in atoms if isinstance(a, Eq)]
+        runs = [a for a in atoms if isinstance(a, (Conn, ConnLe))]
+        # each atom's bit, or its count's index, by identity: equal atoms
+        # elsewhere in the goal get bits or counts that always agree
+        bits = {id(a): i for i, a in enumerate(contacts + diffs)}
+        index = {id(a): c for c, a in enumerate(runs)}
+        bounds = lambda a: a.k if isinstance(a, ConnLe) else 1
+        self.clip = [bounds(a) + 1 for a in runs]
+        self.limit = list(self.clip)
+        for g in _conjuncts(prep.normal):
+            if isinstance(g, (Conn, ConnLe)):
+                self.limit[index[id(g)]] = bounds(g)
+
+        def atom(a):
+            if isinstance(a, Contact):
+                bit = 1 << bits[id(a)]
+                return lambda W, R: W & bit != 0
+            if isinstance(a, Eq):
+                bit = 1 << bits[id(a)]
+                return lambda W, R: W & bit == 0
+            c, k = index[id(a)], bounds(a)
+            return lambda W, R: R[c] <= k
+
+        self.goal = _goal(prep.normal, atom)
+        point = prep.point
+        self.touch = _HubCheck([a.terms for a in contacts], point)
+        self.sides = [(point(a.left)[0], point(a.right)[0], bits[id(a)])
+                      for a in diffs]
+        self.in_run = [point(a.term)[0] for a in runs]
+        self.start = (None, 0, (0,) * len(runs))    # the empty fence
+        self._after: Dict[Optional[int], List[Tuple[int, int, int]]] = {}
+
+    def after(self, last: Optional[int]) -> List[Tuple[int, int, int]]:
+        """(type, atoms witnessed, terms whose run it begins) for each
+        interval that may follow one of type `last`, or begin a fence
+        when `last` is None."""
+        got = self._after.get(last)
+        if got is None:
+            got = self._after[last] = self._steps(last)
+        return got
+
+    def _steps(self, last):
+        types = self.prep.admissible_types()
+        if last is None:    # the first step of every sweep tabulates types
+            self.alone = {m: self.touch.seen([m]) | sum(
+                1 << bit for yl, yr, bit in self.sides
+                if bool(yl(m, ~m)) != bool(yr(m, ~m))) for m in types}
+            self.inside = {m: sum(1 << c for c, y in enumerate(self.in_run)
+                                  if y(m, ~m)) for m in types}
+            return [(m, self.alone[m], self.inside[m]) for m in types]
+        return [(m, self.alone[m] | self.touch.seen([last, m]),
+                 self.inside[m] & ~self.inside[last])
+                for m in types if not self.prep.hub.sees([last, m])]
+
+
+def _sweep_fence(f: Formula, prep: _Prep, max_points: int, tb,
+                 start: float) -> SolveResult:
+    """Satisfiability over fences of up to (max_points + 1) // 2
+    intervals, by one breadth-first sweep over the states of
+    `_FenceSteps` that adds one interval per length. A state is expanded
+    only when no shorter fence reached it, so the first state satisfying
+    the goal gives a shortest model; the goal is read once per distinct
+    (witnessed, counts). When a length brings no new state, no longer
+    fence satisfies the goal either: `stats["saturated_at"]` records
+    that length in points, and the verdict stays UNSAT_WITHIN_BOUND at
+    max_points. The budget is checked once per expanded state; an
+    aborted sweep reports the last length it finished. `stats["frames"]`
+    counts the lengths reached, `stats["nodes"]` the states expanded."""
+    stats = {"nodes": 0, "frames": 0}
+    fence = _FenceSteps(prep)
+    clip, limit, goal = fence.clip, fence.limit, fence.goal
+    verdicts: Dict[Tuple, bool] = {}
+    parents: Dict[Tuple, Optional[Tuple]] = {fence.start: None}
+    frontier, model, length, bound = [fence.start], None, 0, 0
+    try:
+        while model is None and frontier and 2 * length + 1 <= max_points:
+            length += 1
+            stats["frames"] += 1
+            fresh = []
+            for state in frontier:
+                _tick(stats, prep.deadline)
+                last, seen, counts = state
+                for m, witnessed, begun in fence.after(last):
+                    grown = counts
+                    if begun:
+                        grown = tuple(min(r + (begun >> c & 1), top)
+                                      for c, (r, top) in
+                                      enumerate(zip(counts, clip)))
+                        if any(r > lim for r, lim in zip(grown, limit)):
+                            continue
+                    grown = (m, seen | witnessed, grown)
+                    if grown in parents:
+                        continue
+                    parents[grown] = state
+                    key = grown[1:]
+                    ok = verdicts.get(key)
+                    if ok is None:
+                        ok = verdicts[key] = goal(*key)
+                    if ok:
+                        model = _fence_model(grown, parents, prep.variables)
+                        break
+                    fresh.append(grown)
+                if model is not None:
+                    break
+            else:
+                bound = 2 * length - 1
+                if not fresh:
+                    stats["saturated_at"] = bound
+            frontier = fresh
+    except _Timeout:
+        return SolveResult(UNSAT_WITHIN_BOUND, None, bound, BOUNDED, "bounded",
+                           tb, {**stats, "aborted": True,
+                                "time": time.monotonic() - start})
+    stats["time"] = time.monotonic() - start
+    if model is None:
+        return SolveResult(UNSAT_WITHIN_BOUND, None, max_points, BOUNDED,
+                           "bounded", tb, stats)
+    result = SolveResult(SAT, model, len(model.frame.points), COMPLETE,
+                         "bounded", tb, stats)
+    return _verified(result, f)
+
+
+def _fence_model(state, parents, variables: Sequence[str]) -> Model:
+    """The fence whose intervals carry the types along the parent
+    pointers that end at `state`."""
+    types = []
+    while state[0] is not None:
+        types.append(state[0])
+        state = parents[state]
+    frame = make_fence(len(types))
+    valuation = {v: frame.rc_from_support(frozenset(
+        f"i{j}" for j, m in enumerate(types) if m >> k & 1))
+        for k, v in enumerate(variables)}
+    return Model(frame, valuation, "fence")
+
+
+# ---------------------------------------------------------------------------
 # Bounded satisfiability
 
 def _frames_at(n: int, frame_class: str, prep: _Prep) -> Iterator[QuasiSawFrame]:
-    if frame_class == "fence":
-        if n % 2 == 1:
-            yield make_fence((n + 1) // 2)
-    elif frame_class == "regc" and prep.conn_free:
+    if frame_class == "regc" and prep.conn_free:
         for arities in _fork_partitions(n):
             yield make_fork_frame(arities)
     else:
@@ -890,8 +1062,9 @@ def _empty_sat(f: Formula, frame_class: str, tb, start) -> Optional[SolveResult]
 
 def sat_bounded(f: Formula, frame_class: str = "regc", max_points: int = 8,
                 time_budget: Optional[float] = None) -> SolveResult:
-    """Iterative-deepening satisfiability over canonical frames of the
-    requested class, up to max_points points. A negative verdict is
+    """Satisfiability over frames of the requested class with up to
+    max_points points: canonical quasi-saws by increasing size, or
+    fences by one sweep over their lengths. A negative verdict is
     complete only when max_points reaches the theoretical bound, which
     is known for the fork languages only."""
     start = time.monotonic()
@@ -922,6 +1095,8 @@ def _sat_bounded(f: Formula, frame_class: str, max_points: int,
         return got
     deadline = None if time_budget is None else start + time_budget
     prep = _Prep(f, whole, deadline)
+    if frame_class == "fence":
+        return _sweep_fence(f, prep, max_points, tb, start)
     nvals = 1 << len(prep.variables)
     counters = {"nodes": 0, "frames": 0}
     search = _search_set if whole else _search_rc

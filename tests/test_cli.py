@@ -49,6 +49,21 @@ def test_sat_bounded_exit(capsys, monkeypatch):
     assert out.startswith("UNSAT_WITHIN_BOUND bound=2 method=bounded")
 
 
+def test_sat_reports_fence_saturation(capsys, monkeypatch):
+    # three intervals cannot touch pairwise without overlap
+    text = "conn(a) & conn(b) & conn(c) & EC(a, b) & EC(b, c) & EC(a, c)\n"
+    code, out, _err = run(capsys, monkeypatch,
+                          ["sat", "--frame", "fence", "--bound", "20"],
+                          stdin=text)
+    assert code == 30
+    assert out.startswith("UNSAT_WITHIN_BOUND bound=20 method=bounded")
+    assert "saturated_at=" in out.splitlines()[-1]
+    code, out, _err = run(capsys, monkeypatch,
+                          ["sat", "--frame", "fence", "--bound", "3"],
+                          stdin=text)
+    assert code == 30 and "saturated_at=" not in out
+
+
 def test_parse_error_exit(capsys, monkeypatch):
     code, _out, err = run(capsys, monkeypatch, ["sat"], stdin="C(a &\n")
     assert code == 2

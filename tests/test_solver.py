@@ -445,3 +445,111 @@ def test_time_budget_clock_starts_on_entry():
         r = run(f, "conregc", 5, time_budget=1.0)
         assert time.monotonic() - start - r.stats["time"] < 0.05
         assert r.stats.get("aborted") is True
+
+
+# ---------------------------------------------------------------------------
+# Fences: the forward sweep against a brute-force oracle
+
+def _rand_fence_formula(rng, names, depth=2):
+    """A Boolean combination of equations, 2- and 3-ary contacts, conn
+    and conn_le atoms."""
+    from conftest import rand_b_term
+    if depth == 0 or rng.random() < 0.3:
+        term = lambda: rand_b_term(rng, names, 2)
+        kind = rng.choice(["eq", "c2", "c3", "conn", "conn_le"])
+        if kind == "eq":
+            return Eq(term(), term())
+        if kind in ("c2", "c3"):
+            return Contact(tuple(term() for _ in range(int(kind[1]))))
+        return F.Conn(term()) if kind == "conn" else F.ConnLe(
+            rng.randint(1, 2), term())
+    kind = rng.choice(["and", "or", "not"])
+    if kind == "not":
+        return Not(_rand_fence_formula(rng, names, depth - 1))
+    left = _rand_fence_formula(rng, names, depth - 1)
+    right = _rand_fence_formula(rng, names, depth - 1)
+    return F.And(left, right) if kind == "and" else F.Or(left, right)
+
+
+def _fence_models(names, intervals):
+    """Every regular closed valuation of the names on a fence."""
+    import itertools
+    from toposat.frames import make_fence
+    fence = make_fence(intervals)
+    cells = sorted(fence.depth0)
+    supports = [frozenset(x for j, x in enumerate(cells) if mask >> j & 1)
+                for mask in range(1 << intervals)]
+    for choice in itertools.product(supports, repeat=len(names)):
+        yield Model(fence, {v: fence.rc_from_support(s)
+                            for v, s in zip(names, choice)}, "fence")
+
+
+def test_fence_sweep_matches_brute_force(rng):
+    """solve(f, "fence", 2L - 1) is SAT exactly when a model of at most L
+    intervals exists, and then its certificate has the fewest."""
+    models = {(n, length): list(_fence_models(["a", "b", "c"][:n], length))
+              for n in (2, 3) for length in range(1, 5)}
+    outcomes = set()
+    for i in range(60):
+        n = 2 + i % 2
+        f = _rand_fence_formula(rng, ["a", "b", "c"][:n])
+        fewest = next((length for length in range(1, 5)
+                       if any(holds(m, f).truth for m in models[n, length])),
+                      None)
+        outcomes.add(fewest is not None)
+        for length in range(1, 5):
+            r = solve(f, "fence", 2 * length - 1)
+            text = F.print_formula(f)
+            if fewest is not None and fewest <= length:
+                assert r.status == "SAT", (text, length)
+                assert len(r.certificate.frame.points) == 2 * fewest - 1, text
+                assert holds(r.certificate, f).truth
+            else:
+                assert r.status == "UNSAT_WITHIN_BOUND", (text, length)
+                assert r.bound_used == 2 * length - 1
+    assert outcomes == {True, False}
+
+
+def test_fence_type_may_repeat():
+    # a touches b, c and d, which are pairwise apart: on the line a
+    # needs three interval components, as in the fence d a c a b
+    f = parse("EC(a, b) & EC(a, c) & EC(a, d) & DC(b, c) & DC(b, d) & DC(c, d)")
+    r = solve(f, "fence", 7)
+    assert r.status == "UNSAT_WITHIN_BOUND" and r.bound_used == 7
+    for bound in (9, 13):
+        r = solve(f, "fence", bound)
+        assert r.status == "SAT" and r.bound_used == 9
+        assert len(r.certificate.frame.points) == 9
+        assert holds(r.certificate, f).truth
+
+
+def test_fence_sweep_saturates():
+    from toposat import gadgets
+    corpus = {e.name: e for e in gadgets.corpus()}
+    start = time.monotonic()
+    for name in ("triangle-contact-fence", "four-clique-contact-fence"):
+        r = solve(corpus[name].formula, "fence", 20)
+        assert r.status == "UNSAT_WITHIN_BOUND" and r.bound_used == 20
+        saturated = r.stats["saturated_at"]
+        assert saturated % 2 == 1 and saturated < 20
+        assert r.stats["frames"] == (saturated + 1) // 2
+        assert "aborted" not in r.stats
+    assert time.monotonic() - start < 5.0
+    # a sweep that reaches its bound first records no saturation
+    r = solve(corpus["four-clique-contact-fence"].formula, "fence", 5)
+    assert r.stats["frames"] == 3 and "saturated_at" not in r.stats
+
+
+def test_fence_sweep_honours_the_budget():
+    # a is empty and nonempty, so no fence satisfies this; the run
+    # counts of four terms keep the sweep from saturating for long
+    f = parse("a = 0 & a != 0 & conn_le(40, b) & conn_le(40, c) & "
+              "conn_le(40, d) & conn_le(40, b * c)")
+    for budget in (0.0, 0.3):
+        start = time.monotonic()
+        r = sat_bounded(f, "fence", 999, time_budget=budget)
+        assert time.monotonic() - start < budget + 0.5
+        assert r.status == "UNSAT_WITHIN_BOUND" and r.stats["aborted"] is True
+        assert r.bound_used == max(0, 2 * r.stats["frames"] - 3)
+        assert "saturated_at" not in r.stats
+    assert r.bound_used >= 3
