@@ -296,15 +296,20 @@ def term_family(t: Term) -> Optional[str]:
     return fam
 
 
+def _with_family(fam: Optional[str], t: Term) -> Optional[str]:
+    """The family of terms of family `fam` together with t."""
+    new = term_family(t)
+    if new is None or new == fam:
+        return fam
+    if fam is not None:
+        raise FormulaError("formula mixes regular-closed and set operators")
+    return new
+
+
 def formula_family(f: Formula) -> Optional[str]:
     fam = None
     for t in terms_of(f):
-        new = term_family(t)
-        if new is None:
-            continue
-        if fam is not None and fam != new:
-            raise FormulaError("formula mixes regular-closed and set operators")
-        fam = new
+        fam = _with_family(fam, t)
     return fam
 
 
@@ -322,12 +327,21 @@ LANGUAGE_TAGS = (
 
 def classify(f: Formula) -> str:
     """Least language tag containing every constructor and predicate of f."""
-    family = formula_family(f)
+    return language(f)[0]
+
+
+def language(f: Formula) -> Tuple[str, Optional[str]]:
+    """The tag `classify` gives f and the family `formula_family` gives
+    it, from one walk over f's atoms. A tag ending in "c" ("c" or "cc")
+    says that a conn or conn_le atom occurs."""
+    family = None
     has_eq = has_rcc8 = has_contact = False
     rcc8_vars_only = True
     max_arity = 0
     suffix = ""
     for a in atoms(f):
+        for t in terms_of_atom(a):
+            family = _with_family(family, t)
         if isinstance(a, Eq):
             has_eq = True
         elif isinstance(a, Contact):
@@ -356,7 +370,7 @@ def classify(f: Formula) -> str:
         base = "C"
     else:
         base = "B"
-    return base + suffix
+    return base + suffix, family
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,9 @@ Kleene's three-valued logic. Read over complete masks, of a quasi-saw's
 teeth (regular closed regions) or of all its points (the power-set
 classes), the out-rail is the complement of the in-rail. The normalized
 goal is compiled once per bounded run, its Boolean structure by one
-routine whatever reads its atoms, and one routine counts components.
+routine whatever reads its atoms, and one routine counts components. A
+quasi-saw leaf compiles only the top-level conjuncts the search does not
+already keep true (`_Prep`).
 
 Every satisfying result is re-verified against the plain model checker
 before it is returned.
@@ -437,17 +439,17 @@ def sat_forks(f: Formula, frame_class: str = "regc") -> SolveResult:
     """Complete satisfiability for contact formulas without
     connectedness atoms, over the regular-closed frame classes."""
     start = time.monotonic()
-    tag = F.classify(f)
+    tag, family = F.language(f)
     if not forks_decide(tag, frame_class):
         raise SolverError(f"the fork procedure decides B, RCC8, C and Cm over "
                           f"regc and B and RCC8 over conregc, got {tag} over "
                           f"{frame_class}")
-    return _sat_forks(f, frame_class, tag, start)
+    return _sat_forks(f, frame_class, tag, family, start)
 
 
-def _sat_forks(f: Formula, frame_class: str, tag: str,
+def _sat_forks(f: Formula, frame_class: str, tag: str, family: Optional[str],
                start: float) -> SolveResult:
-    g = eq_normalize(rcc8_to_c(f))
+    g = eq_normalize(rcc8_to_c(f), family)
     skeleton, table = F.propositional_skeleton(g)
     variables = sorted(F.variables(g))
     var_index = {v: i for i, v in enumerate(variables)}
@@ -689,34 +691,63 @@ def _cheap_set(goal: Callable, masks: List[int], ctx: _SawCtx) -> bool:
     return goal(masks, ctx)
 
 
-def _conjuncts(g: Formula) -> Iterator[Formula]:
-    if isinstance(g, And):
-        yield from _conjuncts(g.left)
-        yield from _conjuncts(g.right)
-    else:
-        yield g
+def _conjuncts(g: Formula) -> List[Formula]:
+    """The top-level conjuncts of g, left to right."""
+    out, stack = [], [g]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, And):
+            stack.append(g.right)
+            stack.append(g.left)
+        else:
+            out.append(g)
+    return out
 
 
 class _Prep:
     """Formula preprocessed for the bounded search: the normalized goal
-    (`normal`), compiled once over a quasi-saw's masks on first use
-    (`goal`), plus filters read off its top-level conjuncts. Its
+    (`normal`), filters read off its top-level conjuncts, and the goal
+    the quasi-saw leaves read (`goal`), compiled on first use. Its
     variables range over arbitrary sets when `whole`, over regular closed
-    sets otherwise; only the latter take relation atoms."""
+    sets otherwise; only the latter take relation and contact atoms.
+    `tag` and `family` are what `formula.language` gives f.
 
-    def __init__(self, f: Formula, whole: bool, deadline: Optional[float]):
+    The searches keep three kinds of top-level conjunct true at every
+    leaf, so `goal` reads only the others (`rest`), as a flat tuple of
+    compiled conjuncts:
+    - `t = 0` (`zero_terms`): a tooth's membership in any term depends
+      on its own type alone, and every tooth takes an admissible type,
+      which lies in no zero term. In the power-set classes a hub's
+      membership depends on its own type and its teeth', and
+      `_search_set` gives a hub no type that `zero_points` puts in a
+      zero term.
+    - `!C(t1, ..., tk)` (`ncontact_terms`): a contact holds at a tooth
+      of every ti or at a hub seeing each ti among its teeth. No
+      admissible type lies in all the ti, and `_search_rc`'s `fits`
+      hands each hub to `hub.sees` once, at the tooth that completes
+      it (`_SawCtx.hubs_done_at`). Contacts reach the regular-closed
+      classes only.
+    - `conn`/`conn_le` in the regular-closed classes (`conn_bounds`):
+      `fits` runs `sealed_ok` at every tooth, and at the last one every
+      hub links its teeth and every tooth is sealed, so it counts every
+      component of the term's support.
+    Each of them is also true in the empty space, so `goal` over an
+    empty `_SawCtx` decides the empty space."""
+
+    def __init__(self, f: Formula, tag: str, family: Optional[str],
+                 whole: bool, deadline: Optional[float]):
         self.deadline = deadline
-        self.normal = goal = nnf(eq_normalize(f if whole else rcc8_to_c(f)))
+        self.normal = nnf(eq_normalize(f if whole else rcc8_to_c(f), family))
         self.variables = sorted(F.variables(f))
         self.var_index = {v: i for i, v in enumerate(self.variables)}
         self.point = _Terms(self.var_index)
         self.masks = masks = _MaskTerms(self.var_index)
-        self.conn_free = not any(isinstance(a, (Conn, ConnLe))
-                                 for a in F.atoms(f))
+        self.conn_free = not tag.endswith("c")
         self.zero_terms = []
         self.ncontact_terms = []
         self.conn_bounds = []
-        for g in _conjuncts(goal):
+        self.rest = []
+        for g in _conjuncts(self.normal):
             if isinstance(g, Eq) and isinstance(g.right, F.Zero):
                 self.zero_terms.append(g.left)
             elif isinstance(g, Not) and isinstance(g.arg, Contact):
@@ -725,6 +756,8 @@ class _Prep:
                 self.conn_bounds.append(
                     (self.point(g.term)[0],
                      g.k if isinstance(g, ConnLe) else 1))
+            else:
+                self.rest.append(g)
         self.hub = _HubCheck(self.ncontact_terms, self.point)
         # the points in some zero term, as a mask, for the hub types of
         # the power-set classes
@@ -734,8 +767,17 @@ class _Prep:
 
     @cached_property
     def goal(self) -> Callable:
-        """The normalized goal over the masks of a quasi-saw's points."""
-        return _goal(self.normal, _mask_atom(self.masks))
+        """The conjuncts in `rest` over the masks of a quasi-saw's points."""
+        atom = _mask_atom(self.masks)
+        rest = tuple(_goal(g, atom) for g in self.rest)
+
+        def goal(V, C):
+            for g in rest:
+                if not g(V, C):
+                    return False
+            return True
+
+        return goal
 
     def admissible_types(self) -> List[int]:
         """The admissible depth-0 types; `inside[m]` then has bit c set
@@ -800,7 +842,12 @@ def _place_teeth(ctx: _SawCtx, prep: _Prep, counters: Dict,
 
 def _search_rc(ctx: _SawCtx, prep: _Prep, counters: Dict) -> Optional[List[int]]:
     """Depth-0 type assignment for the regular-closed classes. Returns
-    the tooth support of every variable on success."""
+    the tooth support of every variable on success. A leaf reads only
+    `prep.goal`: the teeth take admissible types, so every `t = 0` and
+    every forbidden contact at a tooth holds; `fits` checks each hub
+    for a forbidden contact when its last tooth is typed; and
+    `sealed_ok`, run at every tooth, at the last one counts every
+    component of each conn bound's support."""
     p = ctx.p
     variables = range(len(prep.variables))
 
@@ -836,7 +883,9 @@ def _search_rc(ctx: _SawCtx, prep: _Prep, counters: Dict) -> Optional[List[int]]
 def _search_set(ctx: _SawCtx, prep: _Prep, counters: Dict) -> Optional[List[int]]:
     """Type assignment for the power-set classes: depth-0 types first,
     then independent depth-1 types. Returns the points of every variable
-    as masks."""
+    as masks. A leaf reads only `prep.goal`: admissible tooth types and
+    the hub types `zero_points` lets through keep every point out of
+    every zero term."""
     p, q = ctx.p, ctx.q
     hub_types = [0] * q
     same_hub_as_prev = [j > 0 and ctx.hub_masks[j] == ctx.hub_masks[j - 1]
@@ -1046,30 +1095,21 @@ def _frames_at(n: int, frame_class: str, prep: _Prep) -> Iterator[QuasiSawFrame]
             (1 << len(prep.variables)) if prep.conn_free else None)
 
 
-def _empty_sat(f: Formula, frame_class: str, tb, start) -> Optional[SolveResult]:
-    """The model over the empty space, when it satisfies f. The search
-    starts at one point, and a fence has at least one interval."""
-    if frame_class == "fence":
-        return None
-    model = Model(QuasiSawFrame([], [], {}),
-                  {v: frozenset() for v in F.variables(f)}, frame_class)
-    if not check_certificate(model, f):
-        return None
-    return SolveResult(SAT, model, 0, COMPLETE, "bounded", tb,
-                       {"nodes": 0, "frames": 0,
-                        "time": time.monotonic() - start})
-
-
 def sat_bounded(f: Formula, frame_class: str = "regc", max_points: int = 8,
                 time_budget: Optional[float] = None) -> SolveResult:
     """Satisfiability over frames of the requested class with up to
     max_points points: canonical quasi-saws by increasing size, or
     fences by one sweep over their lengths. A negative verdict is
     complete only when max_points reaches the theoretical bound, which
-    is known for the fork languages only."""
+    is known for the fork languages only. On quasi-saws the search
+    enforces the top-level `t = 0` and `!C(...)` conjuncts, and the
+    top-level conn bounds over regular closed sets, while it types the
+    points (`_Prep`), so a complete typing, and the empty space before
+    it, are checked against the other conjuncts alone; a model found is
+    still re-checked against f."""
     start = time.monotonic()
     return _sat_bounded(f, frame_class, max_points, time_budget, start,
-                        F.classify(f), F.formula_family(f))
+                        *F.language(f))
 
 
 def _sat_bounded(f: Formula, frame_class: str, max_points: int,
@@ -1090,13 +1130,18 @@ def _sat_bounded(f: Formula, frame_class: str, max_points: int,
     if problem is not None:
         raise SolverError(problem)
     tb = _theoretical_bound(f, frame_class, tag)
-    got = _empty_sat(f, frame_class, tb, start)
-    if got is not None:
-        return got
     deadline = None if time_budget is None else start + time_budget
-    prep = _Prep(f, whole, deadline)
-    if frame_class == "fence":
+    prep = _Prep(f, tag, family, whole, deadline)
+    if frame_class == "fence":     # a fence has at least one interval
         return _sweep_fence(f, prep, max_points, tb, start)
+    # the empty space, where every conjunct the search enforces holds
+    empty = QuasiSawFrame([], [], {})
+    if prep.goal([0] * len(prep.variables), _SawCtx(empty, whole)):
+        model = Model(empty, {v: frozenset() for v in prep.variables},
+                      frame_class)
+        return _verified(SolveResult(SAT, model, 0, COMPLETE, "bounded", tb,
+                                     {"nodes": 0, "frames": 0,
+                                      "time": time.monotonic() - start}), f)
     nvals = 1 << len(prep.variables)
     counters = {"nodes": 0, "frames": 0}
     search = _search_set if whole else _search_rc
@@ -1142,8 +1187,8 @@ def solve(f: Formula, frame_class: str = "regc", max_points: int = 8,
     """Route to the complete fork procedure when it applies, else to the
     bounded search."""
     start = time.monotonic()
-    tag = F.classify(f)
+    tag, family = F.language(f)
     if forks_decide(tag, frame_class):
-        return _sat_forks(f, frame_class, tag, start)
+        return _sat_forks(f, frame_class, tag, family, start)
     return _sat_bounded(f, frame_class, max_points, time_budget, start, tag,
-                        F.formula_family(f))
+                        family)

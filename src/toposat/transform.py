@@ -343,10 +343,11 @@ def eliminate_contacts(f: Formula, connected: bool = False) -> Formula:
 # ---------------------------------------------------------------------------
 # Equality normalization
 
-def eq_normalize(f: Formula) -> Formula:
-    """Rewrite equalities into tau = 0 form via symmetric difference."""
+def eq_normalize(f: Formula, family: Optional[str]) -> Formula:
+    """Rewrite equalities into tau = 0 form via symmetric difference,
+    built from the operators of f's term family (`formula_family`)."""
 
-    set_family = F.formula_family(f) == "set"
+    set_family = family == "set"
 
     def expand(a):
         if not isinstance(a, Eq):
@@ -356,7 +357,7 @@ def eq_normalize(f: Formula) -> Formula:
         if isinstance(a.left, Zero):
             return Eq(a.right, ZERO)
         # a formula mixing the families raises in formula_family, so
-        # no term is a set term unless the formula is
+        # no term is a set term unless the family is
         if set_family:
             diff = Union(Inter(a.left, SetCompl(a.right)),
                          Inter(a.right, SetCompl(a.left)))

@@ -11,7 +11,7 @@ from toposat.frames import Model, QuasiSawFrame
 from toposat.semantics import atom_truth, eval_term, holds
 from toposat.solver import (SolveResult, SolverError, _Prep, _SawCtx, _Terms,
                             _ToothTypes, _admissible_types, _cheap_rc,
-                            _cheap_set, canonical_saws,
+                            _cheap_set, _goal, _mask_atom, canonical_saws,
                             check_certificate, fork_bound,
                             forks_decide, sat_bounded, sat_forks, solve,
                             theoretical_bound)
@@ -108,6 +108,21 @@ def test_sat_bounded_empty_space():
     r = sat_bounded(parse("a = 0"), "regc", 2)
     assert r.status == "SAT" and r.bound_used == 0
     assert r.certificate.frame.points == frozenset()
+    # the empty space is read off the goal the search leaves check, which
+    # skips the conjuncts it enforces; those all hold there
+    empty = {"regc": ["1 = 0", "!C(a, a) & a = 1"],
+             "conregc": ["1 = 0", "!C(a, a) & a = 1"],
+             "all": ["1 = 0", "int(a) = 0 & a = 1"],
+             "con": ["1 = 0", "int(a) = 0 & a = 1"]}
+    for frame_class, texts in empty.items():
+        for text in texts:
+            r = sat_bounded(parse(text), frame_class, 2)
+            assert r.status == "SAT" and r.bound_used == 0, (text, frame_class)
+            assert r.certificate.frame.points == frozenset()
+            assert r.stats["nodes"] == r.stats["frames"] == 0
+        r = sat_bounded(parse("a != 0"), frame_class, 2)
+        assert r.status == "SAT" and r.bound_used > 0, frame_class
+        assert r.certificate.frame.points
 
 
 def test_sat_bounded_statuses():
@@ -377,12 +392,15 @@ def test_rc_leaf_agrees_with_model_checker(rng):
         saw = rand_quasi_saw(rng)
         valuation = rand_rc_valuation(rng, saw, names)
         f = _rand_rc_formula(rng, names)
-        prep = _Prep(f, False, None)
+        prep = _Prep(f, *F.language(f), False, None)
         ctx = _SawCtx(saw, False)
         supports = [sum(1 << i for i, t in enumerate(ctx.teeth)
                         if t in valuation.get(v, ())) for v in prep.variables]
         truth = holds(Model(saw, valuation, "regc"), f).truth
-        assert _cheap_rc(prep.goal, supports, ctx) == truth, f
+        # the whole normalized goal: `prep.goal` skips the conjuncts the
+        # search enforces, which an arbitrary valuation may break
+        goal = _goal(prep.normal, _mask_atom(prep.masks))
+        assert _cheap_rc(goal, supports, ctx) == truth, f
         truths.add(truth)
     assert truths == {True, False}
 
@@ -396,14 +414,97 @@ def test_set_leaf_agrees_with_model_checker(rng):
         valuation = {v: frozenset(x for x in saw.points if rng.random() < 0.5)
                      for v in names}
         f = _rand_set_formula(rng, names)
-        prep = _Prep(f, True, None)
+        prep = _Prep(f, *F.language(f), True, None)
         ctx = _SawCtx(saw, True)
         points = ctx.teeth + ctx.hubs
         masks = [sum(1 << i for i, x in enumerate(points) if x in valuation[v])
                  for v in prep.variables]
         truth = holds(Model(saw, valuation, "all"), f).truth
-        assert _cheap_set(prep.goal, masks, ctx) == truth, f
+        goal = _goal(prep.normal, _mask_atom(prep.masks))
+        assert _cheap_set(goal, masks, ctx) == truth, f
         truths.add(truth)
+    assert truths == {True, False}
+
+
+def _leaves_agree_with_model_checker(monkeypatch, frame_class, f, max_points):
+    """Run the bounded search on every frame it lists up to max_points
+    points, and at every leaf it reaches compare the leaf's goal, which
+    skips the top-level conjuncts the search enforces, with `holds` of
+    the whole formula. The leaf answers False, so the search goes on to
+    the next typing. Returns the truths seen."""
+    from toposat import solver as S
+    whole = frame_class in ("all", "con")
+    leaf = "_cheap_set" if whole else "_cheap_rc"
+    search = S._search_set if whole else S._search_rc
+    real = _cheap_set if whole else _cheap_rc
+    truths = set()
+    prep = _Prep(f, *F.language(f), whole, None)
+    for n in range(1, max_points + 1):
+        for frame in S._frames_at(n, frame_class, prep):
+            ctx = _SawCtx(frame, whole)
+            points = ctx.teeth + ctx.hubs if whole else ctx.teeth
+
+            def check(goal, masks, ctx, frame=frame, points=points):
+                valuation = {}
+                for v, mask in zip(prep.variables, masks):
+                    chosen = frozenset(x for i, x in enumerate(points)
+                                       if mask >> i & 1)
+                    valuation[v] = (chosen if whole
+                                    else frame.rc_from_support(chosen))
+                truth = holds(Model(frame, valuation, frame_class), f).truth
+                assert real(goal, masks, ctx) == truth, \
+                    (F.print_formula(f), sorted(frame.succ1.items()), masks)
+                truths.add(truth)
+                return False
+
+            monkeypatch.setattr(S, leaf, check)
+            search(ctx, prep, {"nodes": 0})
+    return truths
+
+
+def _rand_rc_goal(rng, names):
+    """Top-level equations, 2- and 3-ary forbidden contacts, relations,
+    conn and conn_le atoms, and a random formula nesting all of them."""
+    from conftest import rand_b_term
+    term = lambda: rand_b_term(rng, names, 2)
+    kinds = [lambda: Eq(term(), Zero()), lambda: Eq(term(), term()),
+             lambda: Not(Contact((term(), term()))),
+             lambda: Not(Contact((term(), term(), term()))),
+             lambda: F.Rcc8(rng.choice(F.RCC8_RELATIONS), term(), term()),
+             lambda: F.Conn(term()),
+             lambda: F.ConnLe(rng.randint(1, 2), term())]
+    top = [rng.choice(kinds)() for _ in range(rng.randint(2, 5))]
+    return F.conj(top + [_rand_rc_formula(rng, names, 1)])
+
+
+def _rand_set_goal(rng, names):
+    """Top-level equations, conn and conn_le atoms over set terms, and a
+    random formula nesting them."""
+    top = [_set_atom(rng, names) for _ in range(rng.randint(2, 4))]
+    top.append(Eq(_rand_set_term(rng, names, 2), Zero()))
+    return F.conj(top + [_rand_set_formula(rng, names, 1)])
+
+
+def test_rc_search_leaves_agree_with_model_checker(rng, monkeypatch):
+    """At every leaf the regular-closed search reaches, the goal without
+    the conjuncts it enforces agrees with the model checker."""
+    truths = set()
+    for i in range(100):
+        frame_class = ("regc", "conregc")[i % 2]
+        f = _rand_rc_goal(rng, ["a", "b", "c"][:2 + i // 2 % 2])
+        truths |= _leaves_agree_with_model_checker(monkeypatch, frame_class,
+                                                   f, 5)
+    assert truths == {True, False}
+
+
+def test_set_search_leaves_agree_with_model_checker(rng, monkeypatch):
+    """The same for the power-set classes, whose hub types avoid the
+    zero terms."""
+    truths = set()
+    for i in range(40):
+        f = _rand_set_goal(rng, ["a", "b"])
+        truths |= _leaves_agree_with_model_checker(
+            monkeypatch, ("all", "con")[i % 2], f, 4)
     assert truths == {True, False}
 
 

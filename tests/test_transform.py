@@ -104,18 +104,20 @@ def test_eliminate_contacts_equisat_small():
 
 
 def test_eq_normalize():
-    g = T.eq_normalize(parse("a = b"))
+    g = T.eq_normalize(parse("a = b"), None)
     assert g == parse("a * -b + b * -a = 0")
-    s = T.eq_normalize(parse("x = y v z"))
+    s = T.eq_normalize(parse("x = y v z"), "set")
     assert isinstance(s, F.Eq) and isinstance(s.right, F.Zero)
-    assert T.eq_normalize(parse("a = 0")) == parse("a = 0")
+    assert F.formula_family(s) == "set"
+    assert T.eq_normalize(parse("a = 0"), None) == parse("a = 0")
 
 
 def test_eq_normalize_preserves_truth(rng):
     for _ in range(40):
         model = rand_rc_model(rng, ["a", "b"])
         f = parse("a = b | a + b = 1")
-        assert holds(model, f).truth == holds(model, T.eq_normalize(f)).truth
+        g = T.eq_normalize(f, F.formula_family(f))
+        assert holds(model, f).truth == holds(model, g).truth
 
 
 def test_fresh_vars_avoid_existing():
