@@ -70,10 +70,10 @@ def _run_solver(f: F.Formula, config: RunConfig):
     return solve(f, config.frame_class, config.bound)
 
 
-def cmd_sat(config: RunConfig) -> int:
-    f = _parse_formula(_read_text(config.input_path))
-    result = _run_solver(f, config)
-    lines = [_verdict_line(result.status, result.bound_used, result.method)]
+def _report(config: RunConfig, result, verdict: str) -> int:
+    """The verdict line, the certificate of a SAT result, and the stats
+    line unless --deterministic; the exit code of the result."""
+    lines = [_verdict_line(verdict, result.bound_used, result.method)]
     if result.status == SAT:
         lines.append(json.dumps(model_to_json(result.certificate),
                                 sort_keys=True, indent=2))
@@ -88,17 +88,18 @@ def cmd_sat(config: RunConfig) -> int:
     return _STATUS_EXIT[result.status]
 
 
+def cmd_sat(config: RunConfig) -> int:
+    f = _parse_formula(_read_text(config.input_path))
+    result = _run_solver(f, config)
+    return _report(config, result, result.status)
+
+
 def cmd_valid(config: RunConfig) -> int:
     f = _parse_formula(_read_text(config.input_path))
     result = _run_solver(F.Not(f), config)
     dual = {SAT: "NOT_VALID", UNSAT: "VALID",
             UNSAT_WITHIN_BOUND: "VALID_WITHIN_BOUND"}[result.status]
-    lines = [_verdict_line(dual, result.bound_used, result.method)]
-    if result.status == SAT:
-        lines.append(json.dumps(model_to_json(result.certificate),
-                                sort_keys=True, indent=2))
-    _write_text(config.output_path, "\n".join(lines) + "\n")
-    return _STATUS_EXIT[result.status]
+    return _report(config, result, dual)
 
 
 def cmd_check(config: RunConfig, model_path: str) -> int:

@@ -1274,8 +1274,9 @@ def corpus() -> List[CorpusEntry]:
     entries.append(CorpusEntry(
         "machine-run-rejecting",
         gen_tm_formula(tm_rejecter(), ()),
-        "conregc", "UNSAT_WITHIN_BOUND", bound=4,
-        note="run encoding of a machine that halts without accepting"))
+        "conregc", "UNSAT", bound=4,
+        note="run encoding of a machine that halts without accepting; "
+             "its skeleton is propositionally false"))
     uniform = tiles_uniform()
     entries.append(CorpusEntry(
         "grid-tiling-uniform",

@@ -14,6 +14,14 @@ finite-model bound, which is known for the fork languages alone. The
 frame class says whether variables range over regular closed sets or
 over arbitrary sets (`frames.RC_CLASSES`).
 
+`solve` adds one step to the bounded search over regc and conregc:
+once the empty space and the one-point frames have failed, the fork
+search (`_fork_teeth`, which `sat_forks` builds its models from) asks
+whether the conn-free relaxation has a model over regc
+(`_relaxation_refuted`). If it has none, neither has the formula, and
+the run ends in a complete UNSAT, method "relaxed-forks"; otherwise
+the bounded search goes on as `sat_bounded` runs it.
+
 Both routes share one term compiler, `_Terms`, which turns a term once
 into functions of per-variable masks. Read at one point under a partial
 assignment (the type search, the hub check, the conn bounds), a term
@@ -272,11 +280,12 @@ class _HubCheck:
         self.pad = [0] * width
         self.terms = [[] for _ in range(width)]
         for s, sigma in enumerate(contacts):
+            bit = 1 << s    # one int for every position: it takes s bits
             for r in range(width):
                 if r < len(sigma):
-                    self.terms[r].append((1 << s, point(sigma[r])[0]))
+                    self.terms[r].append((bit, point(sigma[r])[0]))
                 else:
-                    self.pad[r] |= 1 << s
+                    self.pad[r] |= bit
         self._masks: Dict[int, List[int]] = {}
 
     def masks(self, m: int) -> List[int]:
@@ -450,13 +459,40 @@ def sat_forks(f: Formula, frame_class: str = "regc") -> SolveResult:
 def _sat_forks(f: Formula, frame_class: str, tag: str, family: Optional[str],
                start: float) -> SolveResult:
     g = eq_normalize(rcc8_to_c(f), family)
-    skeleton, table = F.propositional_skeleton(g)
     variables = sorted(F.variables(g))
     var_index = {v: i for i, v in enumerate(variables)}
-    point = _Terms(var_index)
-    nodes = 0
+    fork_teeth, nodes = _fork_teeth(g, _Terms(var_index), None)
+    if fork_teeth is None:
+        return SolveResult(UNSAT, None, 0, COMPLETE, "forks", fork_bound(f),
+                           {"nodes": nodes, "time": time.monotonic() - start})
+    frame = make_fork_frame([len(ts) for ts in fork_teeth])
+    supports = {v: set() for v in variables}
+    for i, teeth in enumerate(fork_teeth):
+        for j, m in enumerate(teeth):
+            for v, k in var_index.items():
+                if m >> k & 1:
+                    supports[v].add(f"t{i}_{j}")
+    valuation = {v: frame.rc_from_support(frozenset(s))
+                 for v, s in supports.items()}
+    model = Model(frame, valuation, "regc")
+    return _finish(f, model, frame_class, tag, start, nodes)
 
+
+def _fork_teeth(g: Formula, point: _Terms, deadline: Optional[float]
+                ) -> Tuple[Optional[List[List[int]]], int]:
+    """The fork search over g, a Boolean combination of equations `t = 0`
+    and contacts, whose variables `point` indexes. It walks the literal
+    sets of g's skeleton and realizes each existential literal of one on
+    its own fork, with tooth types the universal literals admit. Returns
+    the teeth of each fork of the first literal set realized, nonzeros
+    first, or None when none is, which refutes g over regc; and the
+    nodes searched. Past `deadline` it raises `_Timeout`: the clock is
+    read once per literal set and in the type search."""
+    skeleton, table = F.propositional_skeleton(g)
+    nodes = 0
     for literals in F.literal_sets(skeleton, table):
+        if deadline is not None and time.monotonic() > deadline:
+            raise _Timeout
         zeros, nonzeros, contacts, ncontacts = [], [], [], []
         for lit in sorted(literals, key=abs):
             atom = table[abs(lit)]
@@ -468,7 +504,7 @@ def _sat_forks(f: Formula, frame_class: str, tag: str, family: Optional[str],
                 raise SolverError(f"unexpected atom {atom!r}")
 
         # without existential literals the empty space is a model
-        types = _ToothTypes(point, zeros, ncontacts, None)
+        types = _ToothTypes(point, zeros, ncontacts, deadline)
         fork_teeth = []
         for t in nonzeros:
             tooth = next(types.of(t), None)
@@ -483,24 +519,9 @@ def _sat_forks(f: Formula, frame_class: str, tag: str, family: Optional[str],
                     break
                 fork_teeth.append(teeth)
         nodes += types.nodes + 1
-        if len(fork_teeth) < len(nonzeros) + len(contacts):
-            continue
-
-        frame = make_fork_frame([len(ts) for ts in fork_teeth])
-        supports = {v: set() for v in variables}
-        for i, teeth in enumerate(fork_teeth):
-            for j, m in enumerate(teeth):
-                for v, k in var_index.items():
-                    if m >> k & 1:
-                        supports[v].add(f"t{i}_{j}")
-        valuation = {v: frame.rc_from_support(frozenset(s))
-                     for v, s in supports.items()}
-        model = Model(frame, valuation, "regc")
-        return _finish(f, model, frame_class, tag, start, nodes)
-
-    return SolveResult(UNSAT, None, 0, COMPLETE, "forks",
-                       fork_bound(f), {"nodes": nodes,
-                                       "time": time.monotonic() - start})
+        if len(fork_teeth) == len(nonzeros) + len(contacts):
+            return fork_teeth, nodes
+    return None, nodes
 
 
 def _find_fork(terms, types: _ToothTypes, hub: _HubCheck):
@@ -1083,6 +1104,37 @@ def _fence_model(state, parents, variables: Sequence[str]) -> Model:
 # ---------------------------------------------------------------------------
 # Bounded satisfiability
 
+def _relaxed(g: Formula) -> Optional[Formula]:
+    """g, in negation normal form, with every conn and conn_le literal of
+    either polarity read as true; None when all of g is. Negation sits on
+    atoms only, so g is monotone in its literals and implies the result:
+    every model of g is one of its relaxation."""
+    if isinstance(g, (And, F.Or)):
+        a, b = _relaxed(g.left), _relaxed(g.right)
+        if a is g.left and b is g.right:
+            return g
+        if isinstance(g, F.Or):
+            return None if a is None or b is None else F.Or(a, b)
+        return b if a is None else a if b is None else And(a, b)
+    if isinstance(g.arg if isinstance(g, Not) else g, (Conn, ConnLe)):
+        return None
+    return g
+
+
+def _relaxation_refuted(prep: _Prep) -> Tuple[bool, int]:
+    """Whether the fork search refutes the relaxation of `prep.normal`
+    over regc, and the nodes it searched. The relaxation is a contact
+    formula without connectedness, which the fork search decides over
+    regc, and it holds in every model of the formula. Connected
+    quasi-saws are quasi-saws, so a refuted relaxation refutes the
+    formula over regc and conregc at every size."""
+    g = _relaxed(prep.normal)
+    if g is None:
+        return False, 0
+    teeth, nodes = _fork_teeth(g, prep.point, prep.deadline)
+    return teeth is None, nodes
+
+
 def _frames_at(n: int, frame_class: str, prep: _Prep) -> Iterator[QuasiSawFrame]:
     if frame_class == "regc" and prep.conn_free:
         for arities in _fork_partitions(n):
@@ -1109,13 +1161,18 @@ def sat_bounded(f: Formula, frame_class: str = "regc", max_points: int = 8,
     still re-checked against f."""
     start = time.monotonic()
     return _sat_bounded(f, frame_class, max_points, time_budget, start,
-                        *F.language(f))
+                        *F.language(f), refute=False)
 
 
 def _sat_bounded(f: Formula, frame_class: str, max_points: int,
                  time_budget: Optional[float], start: float, tag: str,
-                 family: Optional[str]) -> SolveResult:
-    """The bounded search; its clock and budget run from `start`."""
+                 family: Optional[str], refute: bool) -> SolveResult:
+    """The bounded search; its clock and budget run from `start`. With
+    `refute`, over regc and conregc, once the empty space and the
+    one-point frames have failed, a refutation of the conn-free
+    relaxation (`_relaxation_refuted`) ends the run with a complete
+    UNSAT; if the relaxation is satisfiable the search goes on as
+    without it."""
     if max_points < 0:
         raise SolverError("bound must be nonnegative")
     if frame_class not in FRAME_CLASSES:
@@ -1148,6 +1205,14 @@ def _sat_bounded(f: Formula, frame_class: str, max_points: int,
     n = 0
     try:
         for n in range(1, max_points + 1):
+            if n == 2 and refute:
+                refuted, relaxed_nodes = _relaxation_refuted(prep)
+                if refuted:
+                    return SolveResult(UNSAT, None, 1, COMPLETE,
+                                       "relaxed-forks", tb,
+                                       {**counters,
+                                        "relaxed_nodes": relaxed_nodes,
+                                        "time": time.monotonic() - start})
             for frame in _frames_at(n, frame_class, prep):
                 if deadline is not None and time.monotonic() > deadline:
                     raise _Timeout
@@ -1185,10 +1250,15 @@ def _sat_bounded(f: Formula, frame_class: str, max_points: int,
 def solve(f: Formula, frame_class: str = "regc", max_points: int = 8,
           time_budget: Optional[float] = None) -> SolveResult:
     """Route to the complete fork procedure when it applies, else to the
-    bounded search."""
+    bounded search. Over regc and conregc the bounded search, once the
+    empty space and the one-point frames have failed, first asks the
+    fork search about the formula's conn-free relaxation; a refuted
+    relaxation gives a complete UNSAT, method "relaxed-forks". Every
+    SAT certificate still comes from the fork route or the bounded
+    search, which `sat_bounded` runs without this step."""
     start = time.monotonic()
     tag, family = F.language(f)
     if forks_decide(tag, frame_class):
         return _sat_forks(f, frame_class, tag, family, start)
     return _sat_bounded(f, frame_class, max_points, time_budget, start, tag,
-                        family)
+                        family, refute=frame_class in ("regc", "conregc"))

@@ -96,6 +96,40 @@ def rand_bc_formula(rng: random.Random, names: Sequence[str],
     return F.conj(lits)
 
 
+# the atom kinds each conn language draws from, and those it must hold
+_CONN_KINDS = {"Bc": (["eq", "conn"], ["conn"]),
+               "Cc": (["eq", "c2", "conn"], ["c2", "conn"]),
+               "Ccc": (["eq", "c2", "conn", "conn_le"], ["c2", "conn_le"]),
+               "Cmc": (["eq", "c2", "c3", "conn"], ["c3", "conn"])}
+
+
+def rand_conn_atom(rng: random.Random, names: Sequence[str],
+                   kind: str) -> F.Formula:
+    """An atom of one kind: eq, c2 or c3 (2- or 3-ary contact), conn or
+    conn_le."""
+    term = lambda: rand_b_term(rng, names, 2)
+    if kind == "eq":
+        return Eq(term(), term())
+    if kind in ("c2", "c3"):
+        return Contact(tuple(term() for _ in range(int(kind[1]))))
+    return Conn(term()) if kind == "conn" else ConnLe(rng.randint(1, 2), term())
+
+
+def rand_conn_formula(rng: random.Random, names: Sequence[str], tag: str,
+                      max_atoms: int = 4) -> F.Formula:
+    """A conjunction in the language `tag` (Bc, Cc, Ccc or Cmc) of random
+    literals, some of them disjunctions of two."""
+    kinds, must = _CONN_KINDS[tag]
+    picked = must + [rng.choice(kinds)
+                     for _ in range(rng.randint(0, max_atoms - len(must)))]
+    lits = [rand_conn_atom(rng, names, kind) for kind in picked]
+    lits = [a if rng.random() < 0.6 else Not(a) for a in lits]
+    rng.shuffle(lits)
+    if len(lits) > 1 and rng.random() < 0.3:
+        lits[:2] = [F.Or(lits[0], lits[1])]
+    return F.conj(lits)
+
+
 @pytest.fixture
 def rng():
     return random.Random(20260824)

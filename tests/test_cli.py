@@ -49,6 +49,23 @@ def test_sat_bounded_exit(capsys, monkeypatch):
     assert out.startswith("UNSAT_WITHIN_BOUND bound=2 method=bounded")
 
 
+def test_sat_refutes_through_the_relaxation(capsys, monkeypatch):
+    # nothing borders both a region and its complement, connected or not
+    text = "EC(a, b) & EC(a, -b) & conn(a)\n"
+    code, out, _err = run(capsys, monkeypatch,
+                          ["sat", "--frame", "conregc", "--bound", "4"],
+                          stdin=text)
+    assert code == 20
+    assert out.startswith("UNSAT ") and "method=relaxed-forks" in out
+    assert out.splitlines()[-1].startswith("completeness=COMPLETE ")
+    # the bounded method is the bounded search alone
+    code, out, _err = run(capsys, monkeypatch,
+                          ["sat", "--frame", "conregc", "--bound", "4",
+                           "--method", "bounded"], stdin=text)
+    assert code == 30
+    assert out.startswith("UNSAT_WITHIN_BOUND bound=4 method=bounded")
+
+
 def test_sat_reports_fence_saturation(capsys, monkeypatch):
     # three intervals cannot touch pairwise without overlap
     text = "conn(a) & conn(b) & conn(c) & EC(a, b) & EC(b, c) & EC(a, c)\n"
@@ -97,6 +114,24 @@ def test_valid_dual_verdicts(capsys, monkeypatch):
     code, out, _err = run(capsys, monkeypatch, ["valid"], stdin="a = 0\n")
     assert code == 10
     assert out.startswith("NOT_VALID bound=")
+
+
+def test_valid_prints_stats_unless_deterministic(capsys, monkeypatch):
+    for text, code in (("C(a, b) -> C(b, a)\n", 20), ("a = 0\n", 10),
+                       ("conn(a) | !conn(a)\n", 30)):
+        got, out, _err = run(capsys, monkeypatch,
+                             ["valid", "--frame", "regc", "--bound", "2"],
+                             stdin=text)
+        assert got == code
+        stats = out.splitlines()[-1]
+        assert stats.startswith("completeness=") and " frames=" in stats
+        assert " nodes=" in stats
+        if code == 10:      # the certificate sits between the two lines
+            json.loads("\n".join(out.splitlines()[1:-1]))
+        got, out, _err = run(capsys, monkeypatch,
+                             ["valid", "--deterministic", "--frame", "regc",
+                              "--bound", "2"], stdin=text)
+        assert got == code and "completeness=" not in out
 
 
 def test_check_exit_codes(capsys, monkeypatch, tmp_path):

@@ -7,11 +7,12 @@ import pytest
 
 from toposat import formula as F
 from toposat.formula import Contact, Eq, Not, Var, Zero, parse
-from toposat.frames import Model, QuasiSawFrame
+from toposat.frames import Model, QuasiSawFrame, model_to_json
 from toposat.semantics import atom_truth, eval_term, holds
 from toposat.solver import (SolveResult, SolverError, _Prep, _SawCtx, _Terms,
                             _ToothTypes, _admissible_types, _cheap_rc,
-                            _cheap_set, _goal, _mask_atom, canonical_saws,
+                            _cheap_set, _goal, _mask_atom, _relaxed,
+                            canonical_saws,
                             check_certificate, fork_bound,
                             forks_decide, sat_bounded, sat_forks, solve,
                             theoretical_bound)
@@ -44,12 +45,16 @@ def test_refutation_complete_only_for_the_fork_languages(rng):
         assert r.bound_used == bound
         r = solve(f, frame_class, bound + 1)
         assert r.status == "SAT" and holds(r.certificate, f).truth
+    # off the fork languages a complete refutation comes from the
+    # conn-free relaxation alone, and no model may exist then
     from conftest import rand_bc_formula
     for i in range(60):
         f = rand_bc_formula(rng, ["a", "b"])
         frame_class = ("regc", "conregc")[i % 2]
         r = solve(f, frame_class, 3)
-        assert r.status != "UNSAT" or forks_decide(F.classify(f), frame_class)
+        if r.status == "UNSAT" and not forks_decide(F.classify(f), frame_class):
+            assert r.method == "relaxed-forks"
+            assert sat_bounded(f, frame_class, 5).status != "SAT"
 
 
 def test_sat_forks_satisfiable():
@@ -549,21 +554,88 @@ def test_time_budget_clock_starts_on_entry():
 
 
 # ---------------------------------------------------------------------------
+# Refutation through the conn-free relaxation
+
+def test_relaxation_reads_conn_literals_as_true():
+    g = parse("(conn(a) | a = 0) & !conn_le(2, b) & C(a, b)")
+    assert _relaxed(g) == parse("C(a, b)")
+    assert _relaxed(parse("conn(a) & !conn(b)")) is None
+    h = parse("a = 0 | C(a, b)")
+    assert _relaxed(h) is h
+
+
+def _same_result(r, s):
+    assert (r.status, r.bound_used, r.method) == (s.status, s.bound_used, s.method)
+    assert (r.stats["nodes"], r.stats["frames"]) == (s.stats["nodes"],
+                                                     s.stats["frames"])
+    if r.status == "SAT":
+        assert model_to_json(r.certificate) == model_to_json(s.certificate)
+
+
+def test_relaxed_refutations_agree_with_the_bounded_search(rng):
+    from conftest import rand_conn_formula
+    tags = ("Bc", "Cc", "Ccc", "Cmc")
+    refuted = 0
+    for i in range(300):
+        tag, frame_class = tags[i % 4], ("regc", "conregc")[i // 4 % 2]
+        f = rand_conn_formula(rng, ["a", "b"], tag)
+        assert F.classify(f) == tag
+        r = solve(f, frame_class, 4)
+        if r.method == "relaxed-forks":
+            assert r.status == "UNSAT" and r.completeness == "COMPLETE"
+            assert sat_bounded(f, frame_class, 5).status == "UNSAT_WITHIN_BOUND"
+            refuted += 1
+        else:
+            _same_result(r, sat_bounded(f, frame_class, 4))
+    assert 30 < refuted < 270
+
+
+def test_relaxation_never_refutes_a_planted_model(rng):
+    from conftest import rand_conn_formula, rand_quasi_saw, rand_rc_valuation
+    tags, names = ("Bc", "Cc", "Ccc", "Cmc"), ["a", "b", "c"]
+    past_one_point = 0
+    for i in range(300):
+        tag, frame_class = tags[i % 4], ("regc", "conregc")[i // 4 % 2]
+        saw = rand_quasi_saw(rng, 4, 2, connected=frame_class == "conregc")
+        model = Model(saw, rand_rc_valuation(rng, saw, names), frame_class)
+        # each atom of a random formula, and each variable's emptiness, as
+        # the literal the model makes true
+        atoms = list(F.atoms(rand_conn_formula(rng, names, tag, 6)))
+        f = F.conj([a if holds(model, a).truth else Not(a) for a in
+                    atoms + [Eq(Var(v), Zero()) for v in names]])
+        r = solve(f, frame_class, len(saw.points))
+        assert r.status == "SAT" and r.method == "bounded"
+        _same_result(r, sat_bounded(f, frame_class, len(saw.points)))
+        past_one_point += r.bound_used > 1
+    assert past_one_point > 50      # these ran the refuter first
+
+
+def test_relaxed_refutation_honours_the_budget():
+    # 2 ** 16 literal sets, each refuted at once by 1 = 0 with no type
+    # searched: the whole refutation takes seconds, and the budget runs
+    # out inside it
+    terms = ["b" + " * b" * k for k in range(16)]
+    f = parse("conn(c) & C(a, c) & 1 = 0 & " + " & ".join(
+        f"({t} = 0 | {t} != 0)" for t in terms))
+    for budget in (0.1, 0.3):
+        start = time.monotonic()
+        r = solve(f, "regc", 4, time_budget=budget)
+        assert time.monotonic() - start < budget + 0.1
+        assert r.status == "UNSAT_WITHIN_BOUND" and r.stats.get("aborted")
+        # the one-point frames are done and no two-point frame is begun
+        assert r.bound_used == 1 and r.stats["frames"] == 1
+
+
+# ---------------------------------------------------------------------------
 # Fences: the forward sweep against a brute-force oracle
 
 def _rand_fence_formula(rng, names, depth=2):
     """A Boolean combination of equations, 2- and 3-ary contacts, conn
     and conn_le atoms."""
-    from conftest import rand_b_term
+    from conftest import rand_conn_atom
     if depth == 0 or rng.random() < 0.3:
-        term = lambda: rand_b_term(rng, names, 2)
-        kind = rng.choice(["eq", "c2", "c3", "conn", "conn_le"])
-        if kind == "eq":
-            return Eq(term(), term())
-        if kind in ("c2", "c3"):
-            return Contact(tuple(term() for _ in range(int(kind[1]))))
-        return F.Conn(term()) if kind == "conn" else F.ConnLe(
-            rng.randint(1, 2), term())
+        return rand_conn_atom(rng, names, rng.choice(
+            ["eq", "c2", "c3", "conn", "conn_le"]))
     kind = rng.choice(["and", "or", "not"])
     if kind == "not":
         return Not(_rand_fence_formula(rng, names, depth - 1))
