@@ -6,6 +6,7 @@ Two term families share one grammar: the regular-closed algebra
 Mixing the two families inside one formula is rejected.
 """
 
+import re
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple, Union as TyUnion
 
@@ -271,14 +272,6 @@ def variables(f: Formula) -> Set[str]:
     return out
 
 
-def subterm_closure(f: Formula) -> Set[Term]:
-    """All subterms of all terms of f, closed under subterms."""
-    out = set()
-    for t in terms_of(f):
-        out.update(subterms(t))
-    return out
-
-
 _FAMILY = {**dict.fromkeys(RC_CONSTRUCTORS, "rc"),
            **dict.fromkeys(SET_CONSTRUCTORS, "set")}
 
@@ -521,65 +514,36 @@ def literal_sets(p: PropFormula, table: Dict[int, Formula]) -> Iterator[FrozenSe
 
 KEYWORDS = {"conn", "conn_le", "conn_ge", "int", "cl", "C", "v"} | set(RCC8_RELATIONS)
 
-_SYMBOLS = ("->", "!=", "<=", "(", ")", ",", "=", "!", "&", "|",
-            "+", "*", "-", "^", "~")
+# one alternative per token class, symbols longest first; spaces other
+# than newlines match nothing and are skipped
+_TOKEN = re.compile(r"(\n)|(->|!=|<=|[(),=!&|+*^~-])|(\d+)|([^\W\d]\w*)|(\S)")
 
 
-class _Lexer:
-    def __init__(self, text):
-        self.text = text
-        self.pos = 0
-        self.line = 1
-        self.col = 1
-        self.tokens = []
-        self._scan()
-
-    def _error(self, msg):
-        raise ParseError(msg, self.line, self.col)
-
-    def _scan(self):
-        text = self.text
-        while self.pos < len(text):
-            ch = text[self.pos]
-            if ch == "\n":
-                self.pos += 1
-                self.line += 1
-                self.col = 1
-                continue
-            if ch.isspace():
-                self.pos += 1
-                self.col += 1
-                continue
-            for sym in _SYMBOLS:
-                if text.startswith(sym, self.pos):
-                    self.tokens.append((sym, sym, self.line, self.col))
-                    self.pos += len(sym)
-                    self.col += len(sym)
-                    break
-            else:
-                if ch.isdigit():
-                    start = self.pos
-                    while self.pos < len(text) and text[self.pos].isdigit():
-                        self.pos += 1
-                    lexeme = text[start:self.pos]
-                    self.tokens.append(("NAT", lexeme, self.line, self.col))
-                    self.col += len(lexeme)
-                elif ch.isalpha() or ch == "_":
-                    start = self.pos
-                    while self.pos < len(text) and (text[self.pos].isalnum() or text[self.pos] == "_"):
-                        self.pos += 1
-                    lexeme = text[start:self.pos]
-                    kind = lexeme if lexeme in KEYWORDS else "VAR"
-                    self.tokens.append((kind, lexeme, self.line, self.col))
-                    self.col += len(lexeme)
-                else:
-                    self._error(f"unexpected character {ch!r}")
-        self.tokens.append(("EOF", "", self.line, self.col))
+def _tokens(text: str) -> List[Tuple[str, str, int, int]]:
+    """(kind, lexeme, line, column) of every token of text, then EOF."""
+    tokens = []
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        group, lexeme, pos = m.lastindex, m.group(), m.start()
+        col = pos - line_start + 1
+        if group == 1:
+            line, line_start = line + 1, pos + 1
+        elif group == 2:
+            tokens.append((lexeme, lexeme, line, col))
+        elif group == 3:
+            tokens.append(("NAT", lexeme, line, col))
+        elif group == 4 and (lexeme[0].isalpha() or lexeme[0] == "_"):
+            kind = lexeme if lexeme in KEYWORDS else "VAR"
+            tokens.append((kind, lexeme, line, col))
+        else:   # a name may not start with a numeral such as '½' or '²'
+            raise ParseError(f"unexpected character {lexeme[0]!r}", line, col)
+    tokens.append(("EOF", "", line, len(text) - line_start + 1))
+    return tokens
 
 
 class _Parser:
     def __init__(self, text):
-        self.tokens = _Lexer(text).tokens
+        self.tokens = _tokens(text)
         self.pos = 0
 
     def peek(self, offset=0):

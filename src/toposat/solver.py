@@ -453,17 +453,24 @@ def sat_forks(f: Formula, frame_class: str = "regc") -> SolveResult:
         raise SolverError(f"the fork procedure decides B, RCC8, C and Cm over "
                           f"regc and B and RCC8 over conregc, got {tag} over "
                           f"{frame_class}")
-    return _sat_forks(f, frame_class, tag, family, start)
+    return _sat_forks(f, frame_class, tag, family, start, None)
 
 
 def _sat_forks(f: Formula, frame_class: str, tag: str, family: Optional[str],
-               start: float) -> SolveResult:
+               start: float, deadline: Optional[float]) -> SolveResult:
+    """The fork procedure; past `deadline` (a `time.monotonic()` reading,
+    or None) it stops with an aborted UNSAT_WITHIN_BOUND at bound 0."""
+    tb = _theoretical_bound(f, frame_class, tag)
     g = eq_normalize(rcc8_to_c(f), family)
     variables = sorted(F.variables(g))
     var_index = {v: i for i, v in enumerate(variables)}
-    fork_teeth, nodes = _fork_teeth(g, _Terms(var_index), None)
+    try:
+        fork_teeth, nodes = _fork_teeth(g, _Terms(var_index), deadline)
+    except _Timeout:
+        return SolveResult(UNSAT_WITHIN_BOUND, None, 0, BOUNDED, "forks", tb,
+                           {"aborted": True, "time": time.monotonic() - start})
     if fork_teeth is None:
-        return SolveResult(UNSAT, None, 0, COMPLETE, "forks", fork_bound(f),
+        return SolveResult(UNSAT, None, 0, COMPLETE, "forks", tb,
                            {"nodes": nodes, "time": time.monotonic() - start})
     frame = make_fork_frame([len(ts) for ts in fork_teeth])
     supports = {v: set() for v in variables}
@@ -475,7 +482,7 @@ def _sat_forks(f: Formula, frame_class: str, tag: str, family: Optional[str],
     valuation = {v: frame.rc_from_support(frozenset(s))
                  for v, s in supports.items()}
     model = Model(frame, valuation, "regc")
-    return _finish(f, model, frame_class, tag, start, nodes)
+    return _finish(f, model, frame_class, tag, tb, start, nodes)
 
 
 def _fork_teeth(g: Formula, point: _Terms, deadline: Optional[float]
@@ -544,14 +551,13 @@ def _find_fork(terms, types: _ToothTypes, hub: _HubCheck):
     return list(teeth) if go(0) else None
 
 
-def _finish(f, model, frame_class, tag, start, nodes):
+def _finish(f, model, frame_class, tag, tb, start, nodes):
     if frame_class == "conregc" and not model.frame.is_connected():
         model = connectify(model, "b" if tag == "B" else "rcc8")
     elif frame_class == "conregc":
         model = Model(model.frame, model.valuation, "conregc")
     result = SolveResult(SAT, model, len(model.frame.points), COMPLETE, "forks",
-                         fork_bound(f), {"nodes": nodes,
-                                         "time": time.monotonic() - start})
+                         tb, {"nodes": nodes, "time": time.monotonic() - start})
     return _verified(result, f)
 
 
@@ -1255,10 +1261,13 @@ def solve(f: Formula, frame_class: str = "regc", max_points: int = 8,
     fork search about the formula's conn-free relaxation; a refuted
     relaxation gives a complete UNSAT, method "relaxed-forks". Every
     SAT certificate still comes from the fork route or the bounded
-    search, which `sat_bounded` runs without this step."""
+    search, which `sat_bounded` runs without this step. `time_budget`
+    holds on both routes; a run it stops is an aborted
+    UNSAT_WITHIN_BOUND."""
     start = time.monotonic()
     tag, family = F.language(f)
     if forks_decide(tag, frame_class):
-        return _sat_forks(f, frame_class, tag, family, start)
+        return _sat_forks(f, frame_class, tag, family, start,
+                          None if time_budget is None else start + time_budget)
     return _sat_bounded(f, frame_class, max_points, time_budget, start, tag,
                         family, refute=frame_class in ("regc", "conregc"))

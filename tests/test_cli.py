@@ -186,6 +186,35 @@ def test_deterministic_output_stable(capsys, monkeypatch):
     assert "completeness=" in out
 
 
+def test_main_twice_gives_the_same_output(capsys, monkeypatch):
+    for argv, text in ((["sat"], "C(a, b) & a != 0\n"),
+                       (["translate", "--to", "nnf"], "!(a = 0 & C(a, b))\n"),
+                       (["sat", "--bound", "0"], "a = 0\n"),
+                       (["check"], "a = 0\n")):
+        assert (run(capsys, monkeypatch, argv, stdin=text)
+                == run(capsys, monkeypatch, argv, stdin=text))
+
+
+def test_deterministic_only_where_a_stats_line_is_printed(capsys, monkeypatch,
+                                                          tmp_path):
+    for command, code in (("sat", 10), ("valid", 10)):
+        got, out, _err = run(capsys, monkeypatch, [command, "--deterministic"],
+                             stdin="a != 0\n")
+        assert got == code and "completeness=" not in out
+    model = write(tmp_path, "m.json", json.dumps(
+        {"frame": {"points": [{"id": "a", "depth": 0}], "edges": []},
+         "frame_class": "regc", "valuation": {"r": ["a"]}}))
+    spec = write(tmp_path, "tree.json", json.dumps(
+        {"chi": ["var", "p"], "psi": ["var", "p"]}))
+    for argv in (["check", "--model", model], ["translate", "--to", "nnf"],
+                 ["generate", "tree", "--spec", spec, "--out",
+                  str(tmp_path / "t")], ["corpus"]):
+        got, out, err = run(capsys, monkeypatch, argv + ["--deterministic"],
+                            stdin="r != 0\n")
+        assert got == 1 and out == ""
+        assert "unrecognized arguments: --deterministic" in err
+
+
 def test_generate_check_roundtrip(capsys, monkeypatch, tmp_path):
     spec = {
         "states": ["q0", "q1", "q2", "qY", "qH"],

@@ -72,6 +72,43 @@ def test_keywords_not_variables():
         parse_term("cl + 1")
 
 
+def test_parse_error_positions():
+    for text, where in (("a = 0 &\nb $ 0", "2:3: unexpected character '$'"),
+                        ("a = 0\n\t& b # 0", "2:6: unexpected character '#'"),
+                        ("a = 0 &\n  )", "2:3: expected term (found ')')"),
+                        ("C(a,\n  b) &\n\n   c ^= 0",
+                         "4:7: expected term (found '=')")):
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert str(exc.value) == where
+
+
+def test_a_numeral_that_is_no_decimal_starts_no_token():
+    # '²' is a digit to str.isdigit but not to int()
+    for text, col in (("conn_le(², a)", 9), ("a = ½", 5), ("x² = 0 & 1² = 0", 11)):
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert str(exc.value) == f"1:{col}: unexpected character {text[col - 1]!r}"
+
+
+def test_tokens():
+    tokens = F._Parser("conn(x1) -> a != 0 & a <= b | conn_le(12, v_2) v "
+                       "!C(a, -b)").tokens
+    assert [t[:2] for t in tokens] == [
+        ("conn", "conn"), ("(", "("), ("VAR", "x1"), (")", ")"),
+        ("->", "->"), ("VAR", "a"), ("!=", "!="), ("NAT", "0"), ("&", "&"),
+        ("VAR", "a"), ("<=", "<="), ("VAR", "b"), ("|", "|"),
+        ("conn_le", "conn_le"), ("(", "("), ("NAT", "12"), (",", ","),
+        ("VAR", "v_2"), (")", ")"), ("v", "v"), ("!", "!"), ("C", "C"),
+        ("(", "("), ("VAR", "a"), (",", ","), ("-", "-"), ("VAR", "b"),
+        (")", ")"), ("EOF", "")]
+    assert [t[3] for t in tokens[:8]] == [1, 5, 6, 8, 10, 13, 15, 18]
+    assert tokens[-1] == ("EOF", "", 1, 59)
+    assert F._Parser("a\n  = 0\n").tokens == [
+        ("VAR", "a", 1, 1), ("=", "=", 2, 3), ("NAT", "0", 2, 5),
+        ("EOF", "", 3, 1)]
+
+
 def test_family_purity():
     with pytest.raises(FormulaError):
         parse("C(x, ~y)")
@@ -113,9 +150,6 @@ def test_printer_minimal_parens():
 def test_variables_and_closure():
     f = parse("C(r1 * r2, -r3) & r1 = 0")
     assert F.variables(f) == {"r1", "r2", "r3"}
-    closure = F.subterm_closure(f)
-    assert Prod(Var("r1"), Var("r2")) in closure
-    assert Var("r3") in closure
 
 
 def test_propositional_skeleton_roundtrip():

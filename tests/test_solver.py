@@ -33,6 +33,32 @@ def test_theoretical_bound():
     assert theoretical_bound(parse("x ^ y = 0"), "all") is None
 
 
+def test_solve_reports_the_theoretical_bound():
+    # the fork bound, plus the connecting point over conregc
+    for text, status in (("a = 0 & a != 0", "UNSAT"), ("EC(a, b)", "SAT")):
+        f = parse(text)
+        for frame_class in ("regc", "conregc"):
+            r = solve(f, frame_class)
+            assert r.status == status and r.method == "forks"
+            assert r.theoretical_bound == theoretical_bound(f, frame_class)
+    assert solve(parse("a = 0 & a != 0"), "conregc").theoretical_bound == 3
+
+
+def test_fork_route_honours_the_budget():
+    # 2 ** 14 literal sets, each refuted at once by 1 = 0: the whole
+    # refutation takes over a second
+    terms = ["b" + " * b" * k for k in range(14)]
+    f = parse("C(a, c) & 1 = 0 & " + " & ".join(
+        f"({t} = 0 | {t} != 0)" for t in terms))
+    start = time.monotonic()
+    r = solve(f, "regc", time_budget=0.1)
+    assert time.monotonic() - start < 0.2
+    assert r.status == "UNSAT_WITHIN_BOUND" and r.stats.get("aborted")
+    assert r.bound_used == 0 and r.method == "forks"
+    r = solve(f, "regc")
+    assert r.status == "UNSAT" and r.method == "forks"
+
+
 def test_refutation_complete_only_for_the_fork_languages(rng):
     # the smallest models, one point past the bound, exceed
     # 2 ** |subterm closure| points (2 and 4)
