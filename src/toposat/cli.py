@@ -150,8 +150,11 @@ def cmd_generate(args) -> int:
                 raise UsageError("tile set does not tile the grid, no witness")
             model = gadgets.gen_tiling_witness(tiles, tiling, d)
     else:
-        chi = _modal_from_json(spec["chi"])
-        psi = _modal_from_json(spec["psi"])
+        try:
+            chi = _modal_from_json(spec["chi"])
+            psi = _modal_from_json(spec["psi"])
+        except (KeyError, TypeError, ValueError, UsageError) as exc:
+            raise UsageError(f"bad tree specification: {exc}") from exc
         f = gadgets.gen_tree_formula(chi, psi)
         if args.witness:
             raise UsageError("tree instances carry no witness constructor")

@@ -34,6 +34,13 @@ routine whatever reads its atoms, and one routine counts components. A
 quasi-saw leaf compiles only the top-level conjuncts the search does not
 already keep true (`_Prep`).
 
+The quasi-saw search repeats no work it can keep. The type search reads
+a check only on the watch list of the value that can make it true
+(`_ToothTypes`); the tooth search carries each variable's and each conn
+bound's support from one tooth to the next (`_place_teeth`); and the
+frames of each size, with their contexts, are listed once per process
+(`_frames_at`).
+
 Every satisfying result is re-verified against the plain model checker
 before it is returned.
 """
@@ -263,9 +270,37 @@ def _components(x: int, links: Iterable[int]) -> List[int]:
     return comps
 
 
-def _var_indices(terms: Iterable[F.Term], var_index: Dict[str, int]) -> set:
-    return {var_index[x.name] for t in terms
-            for x in F.subterms(t) if isinstance(x, F.Var)}
+def _polarities(terms: Iterable[F.Term], var_index: Dict[str, int]
+                ) -> Dict[int, int]:
+    """Each variable of the terms, by index, with the values that can
+    raise them at a point: bit 1 when the variable occurs under an even
+    number of complements, where True raises the term, and bit 0 when it
+    occurs under an odd number, where False does."""
+    polarity: Dict[int, int] = {}
+    stack = [(t, 0) for t in terms]
+    while stack:
+        s, odd = stack.pop()
+        kind = type(s)
+        if kind is F.Var:
+            i = var_index[s.name]
+            polarity[i] = polarity.get(i, 0) | 2 >> odd
+        elif kind in (F.Compl, F.SetCompl):
+            stack.append((s.arg, 1 - odd))
+        elif kind in (F.Interior, F.Closure):
+            stack.append((s.arg, odd))
+        elif kind in (F.Sum, F.Prod, F.Union, F.Inter):
+            stack.append((s.left, odd))
+            stack.append((s.right, odd))
+    return polarity
+
+
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
+def _bits(flags: Iterable[int]) -> int:
+    """The int whose binary digits, highest first, are the given 0/1
+    flags, built in time linear in their number."""
+    return int(bytes(flags).translate(_DIGITS), 2)
 
 
 class _HubCheck:
@@ -273,25 +308,24 @@ class _HubCheck:
     masks(m)[r] says a point of type m lies in term r of contact s, and a
     contact of fewer than r + 1 terms has bit s set at position r anyway.
     A hub sees contact s when for every position one of its teeth has
-    bit s there; a forbidden contact seen is violated."""
+    bit s there; a forbidden contact seen is violated. Each position
+    keeps one term per contact, the last contact first, and a type's
+    masks are read off the flags of those terms at once, so time and
+    memory are linear in the number of contacts."""
 
     def __init__(self, contacts: Sequence[Sequence[F.Term]], point: _Terms):
         width = max(map(len, contacts), default=0)
-        self.pad = [0] * width
-        self.terms = [[] for _ in range(width)]
-        for s, sigma in enumerate(contacts):
-            bit = 1 << s    # one int for every position: it takes s bits
-            for r in range(width):
-                if r < len(sigma):
-                    self.terms[r].append((bit, point(sigma[r])[0]))
-                else:
-                    self.pad[r] |= bit
+        last_first = contacts[::-1]
+        self.pad = [_bits(len(sigma) <= r for sigma in last_first)
+                    for r in range(width)]
+        self.terms = [[point(sigma[r])[0] if r < len(sigma) else _zero
+                       for sigma in last_first] for r in range(width)]
         self._masks: Dict[int, List[int]] = {}
 
     def masks(self, m: int) -> List[int]:
         got = self._masks.get(m)
         if got is None:     # type m: the variables outside m are False
-            got = self._masks[m] = [sum(bit for bit, y in terms if y(m, ~m))
+            got = self._masks[m] = [_bits(y(m, ~m) for y in terms)
                                     for terms in self.terms]
         return got
 
@@ -319,7 +353,24 @@ class _ToothTypes:
     of bits forces a violation is kept across searches, and each wanted
     term's types are drawn once and kept, because `_find_fork` backtracks
     over them. Past `deadline` (a `time.monotonic()` reading,
-    or None) the search raises `_Timeout`."""
+    or None) the search raises `_Timeout`.
+
+    A check (a zero term, or the terms of a forbidden contact) is
+    violated when the point surely lies in it, and each variable keeps
+    one watch list per value: a node that sets variable i reads only the
+    checks on the list of the value it sets. Kleene's dual-rail
+    evaluation is monotone in the truth order F < U < T in a variable
+    that occurs under an even number of complements, antitone in one
+    under an odd number, and interior and closure are transparent at a
+    point. So setting a variable to a value that can only lower a check
+    cannot make it surely violated; a check goes on the True list of
+    the variables it has under an even number of complements and on the
+    False list of those under an odd number. Every check not violated
+    before a node is then read exactly where it can turn violated, which
+    cuts the same branches as reading every check of the variable. A
+    check already violated with every variable unknown goes on both
+    lists of each of its variables, which cuts where the full reading
+    would: at the first of them assigned."""
 
     def __init__(self, point: _Terms, zero_terms: Sequence[F.Term],
                  ncontact_terms: Sequence[Sequence[F.Term]],
@@ -330,21 +381,24 @@ class _ToothTypes:
         self.nodes = 0
         self._found: Dict[F.Term, Iterator[int]] = {}
         self._dead: Dict[Tuple[int, int], bool] = {}
-        # a check can only flip to violated when one of its own
-        # variables gets assigned, so watch each check there
-        self.watch: List[List[Callable]] = [[] for _ in var_index]
+        # watch[i][b]: the checks variable i set to b can make violated
+        self.watch: List[Tuple[List[Callable], List[Callable]]] = [
+            ([], []) for _ in var_index]
         self.blocked = False
         for check in [[t] for t in zero_terms] + [list(s) for s in ncontact_terms]:
-            at = _var_indices(check, var_index)
+            at = _polarities(check, var_index)
             # whether the point surely lies in every term of the check
             fn = reduce(_both, [point(t)[0] for t in check])
+            violated = bool(fn(0, 0))
             if not at:
-                self.blocked = self.blocked or bool(fn(0, 0))
-            for i in at:
-                self.watch[i].append(fn)
+                self.blocked = self.blocked or violated
+            for i, values in at.items():
+                for b in (0, 1):
+                    if violated or values >> b & 1:
+                        self.watch[i][b].append(fn)
 
     def _cut(self, i: int, yes: int, no: int) -> bool:
-        for check in self.watch[i]:
+        for check in self.watch[i][yes >> i & 1]:
             if check(yes, no):
                 return True
         return False
@@ -362,9 +416,9 @@ class _ToothTypes:
         """The types in `want` (every type for None), in search order."""
         v = len(self.var_index)
         deadline = self.deadline
-        wanted, missed = set(), None
+        wanted, missed = {}, None
         if want is not None:
-            wanted = _var_indices([want], self.var_index)
+            wanted = _polarities([want], self.var_index)
             missed = self.point(want)[1]
         if self.blocked or (missed is not None and missed(0, 0)):
             return
@@ -808,13 +862,20 @@ class _Prep:
 
     def admissible_types(self) -> List[int]:
         """The admissible depth-0 types; `inside[m]` then has bit c set
-        when type m lies in the term of conn bound c."""
+        when type m lies in the term of conn bound c, and `marks[m]`
+        lists the running supports of `_place_teeth` a tooth of type m
+        joins: its variables, then n + c for each such bound c, n being
+        the number of variables."""
         if self._admissible is None:
             types = _admissible_types(self.point, self.zero_terms,
                                       self.ncontact_terms, self.deadline)
             self.inside = {m: sum(1 << c for c, (y, _) in
                                   enumerate(self.conn_bounds)
                                   if y(m, ~m)) for m in types}
+            n = len(self.variables)
+            self.marks = {m: [k for k in range(n) if m >> k & 1]
+                          + [n + c for c in range(len(self.conn_bounds))
+                             if self.inside[m] >> c & 1] for m in types}
             self._admissible = types
         return self._admissible
 
@@ -832,31 +893,42 @@ def _place_teeth(ctx: _SawCtx, prep: _Prep, counters: Dict,
     before takes a later type, or the same one when both are isolated or
     the sets are arbitrary (a set holding both teeth but not their hub
     has two components).
-    `fits(types, i)` prunes once tooth i is typed; `done(types)` gives
-    the answer for a complete typing, or None to go on."""
+    The search keeps one list of running supports per tooth: `rows[i]`
+    holds, over the teeth before tooth i, the support of each variable
+    and then of each conn bound's term (`prep.marks`), and each row is
+    the one before with the new tooth's bit added.
+    `fits(types, i, rows[i])` prunes once tooth i is typed;
+    `done(types, rows[p])` gives the answer for a complete typing, or
+    None to go on."""
     p = ctx.p
     admissible = prep.admissible_types()
     if p and not admissible or prep.conn_free and p > len(admissible):
         return None
     rank = {m: i for i, m in enumerate(admissible)}
+    marks = prep.marks
     types = [0] * p
+    rows = [[0] * (len(prep.variables) + len(prep.conn_bounds))] * (p + 1)
     used = set()
 
     def place(i):
         _tick(counters, prep.deadline)
         if i == p:
-            return done(types)
+            return done(types, rows[p])
         lo = 0
         if ctx.same_col_as_prev[i]:
             lo = rank[types[i - 1]]
             if not (ctx.isolated[i] or ctx.whole):
                 lo += 1
+        row, bit = rows[i], 1 << i
         for m in admissible[lo:]:
             if prep.conn_free and m in used:
                 continue
             types[i] = m
-            if not fits(types, i):
+            if not fits(types, i, row):
                 continue
+            grown = rows[i + 1] = row[:]
+            for j in marks[m]:
+                grown[j] |= bit
             used.add(m)
             got = place(i + 1)
             if got is not None:
@@ -875,17 +947,16 @@ def _search_rc(ctx: _SawCtx, prep: _Prep, counters: Dict) -> Optional[List[int]]
     for a forbidden contact when its last tooth is typed; and
     `sealed_ok`, run at every tooth, at the last one counts every
     component of each conn bound's support."""
-    p = ctx.p
-    variables = range(len(prep.variables))
+    nv = len(prep.variables)
 
-    def sealed_ok(types, i):
+    def sealed_ok(types, i, row):
         """No conn bound is exceeded by components that no later tooth
         can join."""
         links = ctx.hubs_done_by[i]
+        inside = prep.inside[types[i]]
         for c, (_, k) in enumerate(prep.conn_bounds):
-            support = sum(1 << t for t in range(i + 1)
-                          if prep.inside[types[t]] >> c & 1)
-            if bin(support).count("1") <= k:
+            support = row[nv + c] | (inside >> c & 1) << i
+            if support.bit_count() <= k:
                 continue
             sealed = sum(1 for comp in _components(support, links)
                          if not comp & ~ctx.sealed_by[i])
@@ -893,15 +964,14 @@ def _search_rc(ctx: _SawCtx, prep: _Prep, counters: Dict) -> Optional[List[int]]
                 return False
         return True
 
-    def fits(types, i):
+    def fits(types, i, row):
         for teeth in ctx.hubs_done_at[i]:
             if prep.hub.sees([types[t] for t in teeth]):
                 return False
-        return not prep.conn_bounds or sealed_ok(types, i)
+        return not prep.conn_bounds or sealed_ok(types, i, row)
 
-    def done(types):
-        supports = [sum(1 << t for t in range(p) if types[t] >> k & 1)
-                    for k in variables]
+    def done(types, row):
+        supports = row[:nv]
         return supports if _cheap_rc(prep.goal, supports, ctx) else None
 
     return _place_teeth(ctx, prep, counters, fits, done)
@@ -941,12 +1011,11 @@ def _search_set(ctx: _SawCtx, prep: _Prep, counters: Dict) -> Optional[List[int]
                 return got
         return None
 
-    def done(types):
-        teeth_of[:] = [sum(1 << t for t in range(p) if types[t] >> k & 1)
-                       for k in variables]
+    def done(types, row):
+        teeth_of[:] = row
         return place_hub(0)
 
-    return _place_teeth(ctx, prep, counters, lambda types, i: True, done)
+    return _place_teeth(ctx, prep, counters, lambda types, i, row: True, done)
 
 
 # ---------------------------------------------------------------------------
@@ -1141,16 +1210,68 @@ def _relaxation_refuted(prep: _Prep) -> Tuple[bool, int]:
     return teeth is None, nodes
 
 
-def _frames_at(n: int, frame_class: str, prep: _Prep) -> Iterator[QuasiSawFrame]:
+class _Listing:
+    """The items of a deterministic generator, listed once and shared by
+    every reader. A reader walks `items` and extends it from `source`
+    when it passes the end, so a reader that stops early, at a model, a
+    `_Timeout` or an exception of its own, leaves a prefix that the next
+    reader extends. `source` is None once exhausted, and only then is
+    the list complete. An exception inside the source replaces it by a
+    fresh one past the items already listed, so a broken source never
+    ends the list early."""
+
+    def __init__(self, make: Callable[[], Iterator]):
+        self.make = make
+        self.items: List = []
+        self.source: Optional[Iterator] = make()
+
+    def __iter__(self):
+        items, i = self.items, 0
+        while True:
+            if i == len(items):
+                if self.source is None:
+                    return
+                try:
+                    item = next(self.source, self)
+                except BaseException:
+                    self.source = itertools.islice(self.make(), len(items), None)
+                    raise
+                if item is self:
+                    self.source = None
+                    return
+                items.append(item)
+            yield items[i]
+            i += 1
+
+
+# (size, frame class, tooth cap) -> its frames with their contexts
+_FRAMES: Dict[Tuple, _Listing] = {}
+
+
+def _frames_at(n: int, frame_class: str, prep: _Prep
+               ) -> Iterator[Tuple[QuasiSawFrame, _SawCtx]]:
+    """The frames with n points the bounded search tries, in order, each
+    with its `_SawCtx`. Each (size, frame class, tooth cap) is listed
+    once per process, through a `_Listing`, which keeps only what it has
+    listed and never takes a prefix for the whole list. Frames and
+    contexts are never mutated, so runs and their certificates share
+    them."""
+    whole = frame_class not in RC_CLASSES
     if frame_class == "regc" and prep.conn_free:
-        for arities in _fork_partitions(n):
-            yield make_fork_frame(arities)
+        key = (n, frame_class, "forks")
+        frames = lambda: map(make_fork_frame, _fork_partitions(n))
     else:
+        top = min(n, 1 << len(prep.variables)) if prep.conn_free else n
+        key = (n, frame_class, top)
         # hubs over the same teeth differ only where sets are arbitrary
-        yield from canonical_saws(
+        frames = lambda: canonical_saws(
             n, frame_class in CONNECTED_CLASSES,
-            "antichain" if frame_class in RC_CLASSES else "repeated",
-            (1 << len(prep.variables)) if prep.conn_free else None)
+            "repeated" if whole else "antichain", top)
+    listing = _FRAMES.get(key)
+    if listing is None:
+        listing = _FRAMES[key] = _Listing(
+            lambda: ((frame, _SawCtx(frame, whole)) for frame in frames()))
+    yield from listing
 
 
 def sat_bounded(f: Formula, frame_class: str = "regc", max_points: int = 8,
@@ -1219,11 +1340,10 @@ def _sat_bounded(f: Formula, frame_class: str, max_points: int,
                                        {**counters,
                                         "relaxed_nodes": relaxed_nodes,
                                         "time": time.monotonic() - start})
-            for frame in _frames_at(n, frame_class, prep):
+            for frame, ctx in _frames_at(n, frame_class, prep):
                 if deadline is not None and time.monotonic() > deadline:
                     raise _Timeout
                 counters["frames"] += 1
-                ctx = _SawCtx(frame, whole)
                 if prep.conn_free and ctx.p > nvals:
                     continue
                 found = search(ctx, prep, counters)

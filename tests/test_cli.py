@@ -260,3 +260,14 @@ def test_generate_bad_spec(capsys, monkeypatch, tmp_path):
                            ["generate", "tm", "--spec", spath, "--out",
                             str(tmp_path / "x")])
     assert code == 1
+
+
+@pytest.mark.parametrize("spec", [
+    {}, [], {"chi": ["box", "x", ["var", "p"]], "psi": ["var", "q"]}])
+def test_generate_tree_bad_spec(capsys, monkeypatch, tmp_path, spec):
+    spath = write(tmp_path, "tree.json", json.dumps(spec))
+    code, out, err = run(capsys, monkeypatch,
+                         ["generate", "tree", "--spec", spath, "--out",
+                          str(tmp_path / "t")])
+    assert code == 1 and out == ""
+    assert err.startswith("error: bad tree specification: ")

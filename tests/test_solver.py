@@ -7,13 +7,13 @@ import pytest
 
 from toposat import formula as F
 from toposat.formula import Contact, Eq, Not, Var, Zero, parse
-from toposat.frames import Model, QuasiSawFrame, model_to_json
+from toposat.frames import (CONNECTED_CLASSES, RC_CLASSES, Model,
+                            QuasiSawFrame, make_fork_frame, model_to_json)
 from toposat.semantics import atom_truth, eval_term, holds
-from toposat.solver import (SolveResult, SolverError, _Prep, _SawCtx, _Terms,
-                            _ToothTypes, _admissible_types, _cheap_rc,
-                            _cheap_set, _goal, _mask_atom, _relaxed,
-                            canonical_saws,
-                            check_certificate, fork_bound,
+from toposat.solver import (SolveResult, SolverError, _HubCheck, _Prep,
+                            _SawCtx, _Terms, _ToothTypes, _admissible_types,
+                            _cheap_rc, _cheap_set, _goal, _mask_atom, _relaxed,
+                            canonical_saws, check_certificate, fork_bound,
                             forks_decide, sat_bounded, sat_forks, solve,
                             theoretical_bound)
 
@@ -330,6 +330,175 @@ def test_tooth_types_nested_iteration():
     assert again == [(m, n) for m in list(fresh.of(a)) for n in list(fresh.of(a))]
 
 
+class _ReadEveryCheck(_ToothTypes):
+    """Reference for `_ToothTypes`: a node that sets variable i reads
+    every check in which i occurs, whatever value i takes."""
+
+    def __init__(self, point, zeros, ncontacts, deadline):
+        super().__init__(point, zeros, ncontacts, deadline)
+        self.every = [[] for _ in point.var_index]
+        for check in [[t] for t in zeros] + [list(c) for c in ncontacts]:
+            for i in {point.var_index[x.name] for t in check
+                      for x in F.subterms(t) if isinstance(x, Var)}:
+                self.every[i].append(check)
+
+    def _cut(self, i, yes, no):
+        return any(all(self.point(t)[0](yes, no) for t in check)
+                   for check in self.every[i])
+
+
+def _rand_point_term(rng, names):
+    """A regular-closed or set term with complements, interior, closure
+    and the constants."""
+    from conftest import rand_b_term
+    a = Var(rng.choice(names))
+    return rng.choice([
+        lambda: rand_b_term(rng, names, 3),
+        lambda: _rand_set_term(rng, names, 3),
+        lambda: F.Sum(a, F.One()),
+        lambda: F.Compl(F.Prod(a, F.Compl(a))),
+        lambda: F.Interior(F.SetCompl(F.Union(a, _rand_set_term(rng, names, 2)))),
+        lambda: F.Compl(F.Sum(rand_b_term(rng, names, 2), Zero()))])()
+
+
+def test_tooth_types_read_each_check_where_it_can_turn_true(rng):
+    """Reading a check only on the watch list of the value that can raise
+    it lists the same types in the same order, with the same nodes, as
+    reading every check of the variable set."""
+    for _ in range(300):
+        names = ["a", "b", "c", "d"][:rng.randint(1, 4)]
+        var_index = {v: i for i, v in enumerate(names)}
+        zeros = [_rand_point_term(rng, names) for _ in range(rng.randint(0, 3))]
+        ncontacts = [tuple(_rand_point_term(rng, names)
+                           for _ in range(rng.randint(1, 3)))
+                     for _ in range(rng.randint(0, 3))]
+        fast = _ToothTypes(_Terms(var_index), zeros, ncontacts, None)
+        slow = _ReadEveryCheck(_Terms(var_index), zeros, ncontacts, None)
+        assert list(fast.search(None)) == list(slow.search(None))
+        assert fast.nodes == slow.nodes
+        for _ in range(3):
+            want = _rand_point_term(rng, names)
+            assert list(fast.of(want)) == list(slow.of(want))
+            assert fast.nodes == slow.nodes
+
+
+def test_hub_check_masks_match_one_int_per_contact(rng):
+    """`_HubCheck`'s masks and padding equal those built by adding one
+    `1 << s` per contact s."""
+    from conftest import rand_b_term
+    for _ in range(100):
+        names = ["a", "b", "c"]
+        var_index = {v: i for i, v in enumerate(names)}
+        point = _Terms(var_index)
+        contacts = [tuple(rand_b_term(rng, names, 2)
+                          for _ in range(rng.randint(1, 3)))
+                    for _ in range(rng.randint(0, 40))]
+        width = max(map(len, contacts), default=0)
+        pad = [sum(1 << s for s, sigma in enumerate(contacts)
+                   if len(sigma) <= r) for r in range(width)]
+        hub = _HubCheck(contacts, point)
+        assert hub.pad == pad
+        for m in range(1 << len(names)):
+            assert hub.masks(m) == [
+                sum(1 << s for s, sigma in enumerate(contacts)
+                    if r < len(sigma) and point(sigma[r])[0](m, ~m))
+                for r in range(width)]
+
+
+def _frames_expected(n, frame_class, prep):
+    """The frames the bounded search tries at n points, listed afresh."""
+    from toposat import solver as S
+    if frame_class == "regc" and prep.conn_free:
+        return [make_fork_frame(a) for a in S._fork_partitions(n)]
+    return list(canonical_saws(
+        n, frame_class in CONNECTED_CLASSES,
+        "antichain" if frame_class in RC_CLASSES else "repeated",
+        (1 << len(prep.variables)) if prep.conn_free else None))
+
+
+def test_frames_listed_once_per_process(monkeypatch):
+    """`_frames_at` yields the frames `canonical_saws` and
+    `_fork_partitions` list, in their order, each with its own context,
+    on a first and a second pass, and after passes stopped early."""
+    from toposat import solver as S
+    monkeypatch.setattr(S, "_FRAMES", {})
+
+    def shape(frame, ctx):
+        assert ctx.hub_masks == _SawCtx(frame, ctx.whole).hub_masks
+        return ctx.p, ctx.hub_masks
+
+    def listed(n, frame_class, prep, stop=None):
+        got = []
+        for frame, ctx in S._frames_at(n, frame_class, prep):
+            if len(got) == stop:
+                break
+            got.append(shape(frame, ctx))
+        return got
+
+    def timed_out(n, frame_class, prep, stop):
+        with pytest.raises(S._Timeout):
+            for i, _ in enumerate(S._frames_at(n, frame_class, prep)):
+                if i == stop:
+                    raise S._Timeout
+
+    formulas = ["conn(a) & C(a, b)", "C(a, a)", "C(a, b) & a != b"]
+    for fresh in (False, True):
+        S._FRAMES.clear()
+        for frame_class in ("regc", "conregc", "all", "con"):
+            whole = frame_class not in RC_CLASSES
+            for text in formulas:
+                g = parse(text.replace("C(a, b)", "a != 1") if whole else text)
+                prep = _Prep(g, *F.language(g), whole, None)
+                for n in range(1, 7):
+                    expected = [shape(frame, _SawCtx(frame, whole)) for frame
+                                in _frames_expected(n, frame_class, prep)]
+                    if not fresh:
+                        half = len(expected) // 2
+                        assert listed(n, frame_class, prep, half) == expected[:half]
+                        if expected:
+                            timed_out(n, frame_class, prep, len(expected) // 3)
+                    assert listed(n, frame_class, prep) == expected
+                    assert listed(n, frame_class, prep) == expected
+                    again = zip(S._frames_at(n, frame_class, prep),
+                                S._frames_at(n, frame_class, prep))
+                    assert all(a is b for a, b in again)
+
+
+def test_listing_survives_a_broken_source():
+    from toposat import solver as S
+    calls = []
+
+    def make():
+        calls.append(None)
+        for i in range(6):
+            if i == 3 and len(calls) == 1:
+                raise RuntimeError("broken")
+            yield i
+
+    listing = S._Listing(make)
+    with pytest.raises(RuntimeError):
+        list(listing)
+    assert list(listing) == list(range(6)) == list(listing)
+
+
+def test_search_counts_are_pinned():
+    """Hardware-independent counts of three benchmark solves and of the
+    machine formula's type listing."""
+    from toposat import gadgets
+    tiling = gadgets.gen_tiling_formula(gadgets.tiles_mismatched(), 0, 1)
+    for bound, nodes, frames in ((1, 64, 1), (2, 1542, 3), (3, 18087, 6)):
+        r = solve(tiling, "regc", bound)
+        assert (r.status, r.stats["nodes"], r.stats["frames"]) == \
+            ("UNSAT_WITHIN_BOUND", nodes, frames)
+    machine = gadgets.gen_tm_formula(gadgets.tm_rejecter(), ())
+    r = solve(machine, "conregc", 4)
+    assert (r.status, r.method, r.stats["nodes"], r.stats["frames"]) == \
+        ("UNSAT", "relaxed-forks", 37, 1)
+    prep = _Prep(machine, *F.language(machine), False, None)
+    types = _ToothTypes(prep.point, prep.zero_terms, prep.ncontact_terms, None)
+    assert len(list(types.search(None))) == 36 and types.nodes == 6288
+
+
 def test_fork_route_contact_ladder_scales():
     ladder = F.conj([Contact((Var(f"a{i}"), Var(f"b{i}"))) for i in range(1, 21)])
     start = time.monotonic()
@@ -471,8 +640,7 @@ def _leaves_agree_with_model_checker(monkeypatch, frame_class, f, max_points):
     truths = set()
     prep = _Prep(f, *F.language(f), whole, None)
     for n in range(1, max_points + 1):
-        for frame in S._frames_at(n, frame_class, prep):
-            ctx = _SawCtx(frame, whole)
+        for frame, ctx in S._frames_at(n, frame_class, prep):
             points = ctx.teeth + ctx.hubs if whole else ctx.teeth
 
             def check(goal, masks, ctx, frame=frame, points=points):
@@ -559,19 +727,32 @@ def test_deep_term_on_every_route():
     assert r.status == "SAT" and r.method == "bounded"
 
 
+def _unfinishable():
+    """An unsatisfiable formula the bounded search cannot finish within a
+    second at 5 points: both machine formulas, whose size makes
+    `language` and `_Prep` take measurable time, and the mismatched
+    d=1 tiling, which no quasi-saw satisfies."""
+    from toposat import gadgets
+    return F.conj([gadgets.gen_tm_formula(gadgets.tm_accepter(), ()),
+                   gadgets.gen_tm_formula(gadgets.tm_rejecter(), ()),
+                   gadgets.gen_tiling_formula(gadgets.tiles_mismatched(), 0, 1)])
+
+
 def test_time_budget_checked_inside_the_search():
     from toposat import gadgets
-    f = gadgets.gen_tm_formula(gadgets.tm_accepter(), ())
-    start = time.monotonic()
-    r = sat_bounded(f, "conregc", 5, time_budget=1.0)
-    assert time.monotonic() - start < 2.0
-    assert r.status == "UNSAT_WITHIN_BOUND" and r.stats.get("aborted") is True
-    assert r.bound_used < 5
+    tiling = gadgets.gen_tiling_formula(gadgets.tiles_mismatched(), 0, 1)
+    # the first stops inside the type listing, the second at search nodes
+    for f in (_unfinishable(), tiling):
+        start = time.monotonic()
+        r = sat_bounded(f, "conregc", 5, time_budget=1.0)
+        assert time.monotonic() - start < 2.0
+        assert r.status == "UNSAT_WITHIN_BOUND" and r.stats.get("aborted") is True
+        assert r.bound_used < 5
+    assert r.stats["nodes"] > 0
 
 
 def test_time_budget_clock_starts_on_entry():
-    from toposat import gadgets
-    f = gadgets.gen_tm_formula(gadgets.tm_accepter(), ())
+    f = _unfinishable()
     for run in (sat_bounded, solve):
         start = time.monotonic()
         r = run(f, "conregc", 5, time_budget=1.0)
