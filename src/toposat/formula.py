@@ -201,11 +201,14 @@ def disj(formulas):
     return out
 
 
+# the meet and complement `leq` writes t1 <= t2 with, by term family
+_LEQ_OPERATORS = {"rc": (Prod, Compl), "set": (Inter, SetCompl)}
+
+
 def leq(t1, t2, family="rc"):
     """t1 <= t2 sugar: t1*(-t2) = 0 for RC terms, t1^~t2 = 0 for set terms."""
-    if family == "rc":
-        return Eq(Prod(t1, Compl(t2)), ZERO)
-    return Eq(Inter(t1, SetCompl(t2)), ZERO)
+    meet, compl = _LEQ_OPERATORS["rc" if family == "rc" else "set"]
+    return Eq(meet(t1, compl(t2)), ZERO)
 
 
 def neq(t1, t2):
@@ -235,15 +238,32 @@ def subterms(t: Term) -> Iterator[Term]:
 
 def atoms(f: Formula) -> Iterator[Formula]:
     """Atomic subformulas in left-to-right order (with repetition)."""
-    if isinstance(f, ATOM_CLASSES):
-        yield f
-    elif isinstance(f, Not):
-        yield from atoms(f.arg)
-    elif isinstance(f, (And, Or, Implies)):
-        yield from atoms(f.left)
-        yield from atoms(f.right)
-    else:
-        raise FormulaError(f"not a formula: {f!r}")
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, ATOM_CLASSES):
+            yield g
+        elif isinstance(g, Not):
+            stack.append(g.arg)
+        elif isinstance(g, (And, Or, Implies)):
+            stack.append(g.right)
+            stack.append(g.left)
+        else:
+            raise FormulaError(f"not a formula: {g!r}")
+
+
+def operands(g: Formula, cls) -> List[Formula]:
+    """The operands of the chain of `cls` (And or Or) nodes at g, left to
+    right, however the chain is nested: [g] when g is no `cls` node."""
+    out, stack = [], [g]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, cls):
+            stack.append(g.right)
+            stack.append(g.left)
+        else:
+            out.append(g)
+    return out
 
 
 def terms_of_atom(a: Formula) -> Tuple[Term, ...]:
@@ -276,34 +296,58 @@ _FAMILY = {**dict.fromkeys(RC_CONSTRUCTORS, "rc"),
            **dict.fromkeys(SET_CONSTRUCTORS, "set")}
 
 
-def term_family(t: Term) -> Optional[str]:
-    """'rc', 'set', or None when only variables/constants occur."""
-    fam = None
-    for s in subterms(t):
-        new = _FAMILY.get(type(s))
-        if new is None or new == fam:
-            continue
-        if fam is not None:
-            raise FormulaError("term mixes regular-closed and set operators")
-        fam = new
-    return fam
+def _family_of(t: Term, pure: Set[int]) -> Optional[str]:
+    """The family of t: 'rc', 'set', or None when only variables and
+    constants occur. A term mixes the families exactly when some
+    operator has an operand whose operator is of the other family, so a
+    term that does not is of its own operator's family. `pure` holds the
+    identities of the operator terms found not to mix, whose subterms are
+    not walked again: a subterm shared by several terms, or occurring
+    twice in one, is walked once. The terms in `pure` must stay alive
+    while it is used, so that no identity is reused."""
+    family = _FAMILY.get(type(t))
+    if family is None or id(t) in pure:
+        return family
+    walked = {id(t)}
+    stack = [t]
+    while stack:
+        s = stack.pop()
+        fam = _FAMILY[type(s)]
+        for c in (s.left, s.right) if type(s) in _BINARY_TERMS else (s.arg,):
+            new = _FAMILY.get(type(c))
+            if new is None:
+                continue
+            if new != fam:
+                raise FormulaError("term mixes regular-closed and set operators")
+            if id(c) not in pure and id(c) not in walked:
+                walked.add(id(c))
+                stack.append(c)
+    pure |= walked
+    return family
 
 
-def _with_family(fam: Optional[str], t: Term) -> Optional[str]:
-    """The family of terms of family `fam` together with t."""
-    new = term_family(t)
-    if new is None or new == fam:
-        return fam
-    if fam is not None:
-        raise FormulaError("formula mixes regular-closed and set operators")
-    return new
+def _atom_families(f: Formula, pure: Set[int]
+                   ) -> Iterator[Tuple[Formula, Optional[str]]]:
+    """Each atom of f, left to right, with the family of f's terms up to
+    and including its own (`pure` as in `_family_of`). Raises at the
+    first term, in that order, that mixes the families or differs from
+    the terms before it."""
+    family = None
+    for a in atoms(f):
+        for t in terms_of_atom(a):
+            new = _family_of(t, pure)
+            if new is not None and new != family:
+                if family is not None:
+                    raise FormulaError("formula mixes regular-closed and set operators")
+                family = new
+        yield a, family
 
 
 def formula_family(f: Formula) -> Optional[str]:
-    fam = None
-    for t in terms_of(f):
-        fam = _with_family(fam, t)
-    return fam
+    family = None
+    for _, family in _atom_families(f, set()):
+        pass
+    return family
 
 
 # ---------------------------------------------------------------------------
@@ -332,9 +376,7 @@ def language(f: Formula) -> Tuple[str, Optional[str]]:
     rcc8_vars_only = True
     max_arity = 0
     suffix = ""
-    for a in atoms(f):
-        for t in terms_of_atom(a):
-            family = _with_family(family, t)
+    for a, family in _atom_families(f, set()):
         if isinstance(a, Eq):
             has_eq = True
         elif isinstance(a, Contact):
@@ -542,12 +584,32 @@ def _tokens(text: str) -> List[Tuple[str, str, int, int]]:
 
 
 class _Parser:
+    """Recursive descent over the token list. Each distinct term and
+    formula is built once per parse (`share`), so a parsed formula is a
+    DAG in which equal subterms are one object."""
+
     def __init__(self, text):
         self.tokens = _tokens(text)
         self.pos = 0
+        self.nodes: Dict[tuple, object] = {}
+        self.pure: Set[int] = set()   # see _family_of
 
-    def peek(self, offset=0):
-        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
+    def shared(self, key, cls, *args):
+        """The one cls(*args) of this parse, filed under `key`, which holds
+        the names and numbers among args and the identities of the rest:
+        those are nodes of this parse, so equal nodes get equal keys."""
+        node = self.nodes.get(key)
+        if node is None:
+            node = self.nodes[key] = cls(*args)
+        return node
+
+    def share(self, cls, *children):
+        """The one cls(*children) of this parse (see `shared`)."""
+        return self.shared((cls, *map(id, children)), cls, *children)
+
+    def peek(self):
+        # only the last `expect("EOF")` moves past EOF, so pos stays in range
+        return self.tokens[self.pos]
 
     def next(self):
         tok = self.tokens[self.pos]
@@ -573,28 +635,28 @@ class _Parser:
         left = self.parse_disj()
         if self.peek()[0] == "->":
             self.next()
-            return Implies(left, self.parse_imp())
+            return self.share(Implies, left, self.parse_imp())
         return left
 
     def parse_disj(self):
         f = self.parse_conj()
         while self.peek()[0] == "|":
             self.next()
-            f = Or(f, self.parse_conj())
+            f = self.share(Or, f, self.parse_conj())
         return f
 
     def parse_conj(self):
         f = self.parse_lit()
         while self.peek()[0] == "&":
             self.next()
-            f = And(f, self.parse_lit())
+            f = self.share(And, f, self.parse_lit())
         return f
 
     def parse_lit(self):
         kind = self.peek()[0]
         if kind == "!":
             self.next()
-            return Not(self.parse_lit())
+            return self.share(Not, self.parse_lit())
         # "(" opens a parenthesized formula only when it is not a term;
         # terms also start with "(" inside atoms, so try formula first.
         if kind == "(":
@@ -619,7 +681,7 @@ class _Parser:
             self.expect(",")
             t2 = self.parse_term()
             self.expect(")")
-            return Rcc8(lexeme, t1, t2)
+            return self.shared((Rcc8, kind, id(t1), id(t2)), Rcc8, kind, t1, t2)
         if kind == "C":
             self.next()
             self.expect("(")
@@ -630,13 +692,13 @@ class _Parser:
             self.expect(")")
             if len(ts) < 2:
                 raise ParseError("C needs at least two arguments", line, col)
-            return Contact(tuple(ts))
+            return self.shared((Contact, *map(id, ts)), Contact, tuple(ts))
         if kind == "conn":
             self.next()
             self.expect("(")
             t = self.parse_term()
             self.expect(")")
-            return Conn(t)
+            return self.share(Conn, t)
         if kind in ("conn_le", "conn_ge"):
             self.next()
             self.expect("(")
@@ -647,26 +709,30 @@ class _Parser:
             if kind == "conn_le":
                 if k < 1:
                     raise ParseError("conn_le requires k >= 1", line, col)
-                return ConnLe(k, t)
+                return self.shared((ConnLe, k, id(t)), ConnLe, k, t)
             if k < 2:
                 raise ParseError("conn_ge requires k >= 2", line, col)
-            return Not(ConnLe(k - 1, t))
+            return self.share(Not, self.shared((ConnLe, k - 1, id(t)),
+                                               ConnLe, k - 1, t))
         t1 = self.parse_term()
         op = self.peek()[0]
         if op == "=":
             self.next()
-            return Eq(t1, self.parse_term())
+            return self.share(Eq, t1, self.parse_term())
         if op == "!=":
             self.next()
-            return Not(Eq(t1, self.parse_term()))
+            return self.share(Not, self.share(Eq, t1, self.parse_term()))
         if op == "<=":
             self.next()
             t2 = self.parse_term()
             try:
-                fam = term_family(t1) or term_family(t2) or "rc"
+                fam = (_family_of(t1, self.pure)
+                       or _family_of(t2, self.pure) or "rc")
             except FormulaError as e:
                 raise ParseError(str(e), line, col) from None
-            return leq(t1, t2, fam)
+            meet, compl = _LEQ_OPERATORS[fam]
+            return self.share(Eq, self.share(meet, t1, self.share(compl, t2)),
+                              ZERO)
         self.error("expected '=', '!=' or '<=' after term")
 
     def parse_term(self):
@@ -674,7 +740,7 @@ class _Parser:
         while self.peek()[0] in ("+", "v"):
             op = self.next()[0]
             right = self.parse_term_mul()
-            t = Sum(t, right) if op == "+" else Union(t, right)
+            t = self.share(Sum if op == "+" else Union, t, right)
         return t
 
     def parse_term_mul(self):
@@ -682,23 +748,23 @@ class _Parser:
         while self.peek()[0] in ("*", "^"):
             op = self.next()[0]
             right = self.parse_term_unary()
-            t = Prod(t, right) if op == "*" else Inter(t, right)
+            t = self.share(Prod if op == "*" else Inter, t, right)
         return t
 
     def parse_term_unary(self):
         kind, lexeme, line, col = self.peek()
         if kind == "-":
             self.next()
-            return Compl(self.parse_term_unary())
+            return self.share(Compl, self.parse_term_unary())
         if kind == "~":
             self.next()
-            return SetCompl(self.parse_term_unary())
+            return self.share(SetCompl, self.parse_term_unary())
         if kind in ("int", "cl"):
             self.next()
             self.expect("(")
             t = self.parse_term()
             self.expect(")")
-            return Interior(t) if kind == "int" else Closure(t)
+            return self.share(Interior if kind == "int" else Closure, t)
         if kind == "(":
             self.next()
             t = self.parse_term()
@@ -713,19 +779,22 @@ class _Parser:
             raise ParseError(f"numeric term must be 0 or 1, got {lexeme}", line, col)
         if kind == "VAR":
             self.next()
-            return Var(lexeme)
+            return self.shared(lexeme, Var, lexeme)
         self.error("expected term")
 
 
 def parse(text: str) -> Formula:
-    """Parse a formula and validate term-family purity."""
-    f = _Parser(text).parse_formula()
-    formula_family(f)
-    for a in atoms(f):
-        if isinstance(a, (Contact, Rcc8)):
-            for t in terms_of_atom(a):
-                if term_family(t) == "set":
-                    raise FormulaError("contact predicates take regular-closed terms only")
+    """Parse a formula and validate term-family purity. Equal subterms
+    of the result are one object."""
+    parser = _Parser(text)
+    f = parser.parse_formula()
+    set_contact = False
+    for a, _ in _atom_families(f, parser.pure):
+        if isinstance(a, (Contact, Rcc8)) and not set_contact:
+            set_contact = any(_FAMILY.get(type(t)) == "set"
+                              for t in terms_of_atom(a))
+    if set_contact:
+        raise FormulaError("contact predicates take regular-closed terms only")
     return f
 
 
@@ -733,7 +802,7 @@ def parse_term(text: str) -> Term:
     p = _Parser(text)
     t = p.parse_term()
     p.expect("EOF")
-    term_family(t)
+    _family_of(t, p.pure)
     return t
 
 

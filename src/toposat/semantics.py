@@ -26,8 +26,12 @@ class Verdict:
         return self.truth
 
 
-def eval_term(model: Model, t: F.Term) -> PointSet:
-    frame = model.frame
+def eval_term(model: Model, t: F.Term,
+              memo: Optional[Dict[int, PointSet]] = None) -> PointSet:
+    """The extension of t in model. `memo` maps the identity of each term
+    already evaluated to its extension, so a subterm met again, here or
+    in a later call given the same memo, is evaluated once; its terms
+    must stay alive while it is used, so that no identity is reused."""
     if isinstance(t, F.Var):
         if t.name not in model.valuation:
             raise SemanticsError(f"unbound variable {t.name!r}")
@@ -35,25 +39,32 @@ def eval_term(model: Model, t: F.Term) -> PointSet:
     if isinstance(t, F.Zero):
         return frozenset()
     if isinstance(t, F.One):
-        return frame.points
-    if isinstance(t, F.Sum):
-        return eval_term(model, t.left) | eval_term(model, t.right)
-    if isinstance(t, F.Prod):
-        X = eval_term(model, t.left) & eval_term(model, t.right)
-        return frame.closure(frame.interior(X))
-    if isinstance(t, F.Compl):
-        return frame.closure(frame.complement(eval_term(model, t.arg)))
-    if isinstance(t, F.Union):
-        return eval_term(model, t.left) | eval_term(model, t.right)
-    if isinstance(t, F.Inter):
-        return eval_term(model, t.left) & eval_term(model, t.right)
-    if isinstance(t, F.SetCompl):
-        return frame.complement(eval_term(model, t.arg))
-    if isinstance(t, F.Interior):
-        return frame.interior(eval_term(model, t.arg))
-    if isinstance(t, F.Closure):
-        return frame.closure(eval_term(model, t.arg))
-    raise SemanticsError(f"not a term: {t!r}")
+        return model.frame.points
+    if memo is None:
+        memo = {}
+    X = memo.get(id(t))
+    if X is not None:
+        return X
+    frame = model.frame
+    if isinstance(t, (F.Sum, F.Union)):
+        X = eval_term(model, t.left, memo) | eval_term(model, t.right, memo)
+    elif isinstance(t, F.Prod):
+        X = eval_term(model, t.left, memo) & eval_term(model, t.right, memo)
+        X = frame.closure(frame.interior(X))
+    elif isinstance(t, F.Compl):
+        X = frame.closure(frame.complement(eval_term(model, t.arg, memo)))
+    elif isinstance(t, F.Inter):
+        X = eval_term(model, t.left, memo) & eval_term(model, t.right, memo)
+    elif isinstance(t, F.SetCompl):
+        X = frame.complement(eval_term(model, t.arg, memo))
+    elif isinstance(t, F.Interior):
+        X = frame.interior(eval_term(model, t.arg, memo))
+    elif isinstance(t, F.Closure):
+        X = frame.closure(eval_term(model, t.arg, memo))
+    else:
+        raise SemanticsError(f"not a term: {t!r}")
+    memo[id(t)] = X
+    return X
 
 
 def check_family(model: Model, f: F.Formula):
@@ -84,47 +95,57 @@ def _rcc8_truth(model: Model, rel: str, X: PointSet, Y: PointSet) -> bool:
     raise SemanticsError(f"unknown relation {rel!r}")
 
 
-def atom_truth(model: Model, a: F.Formula) -> bool:
+def atom_truth(model: Model, a: F.Formula,
+               memo: Optional[Dict[int, PointSet]] = None) -> bool:
+    """The truth of atom a in model; `memo` as in `eval_term`."""
+    if memo is None:
+        memo = {}
     if isinstance(a, F.Eq):
-        return eval_term(model, a.left) == eval_term(model, a.right)
+        return eval_term(model, a.left, memo) == eval_term(model, a.right, memo)
     if isinstance(a, F.Contact):
-        exts = [eval_term(model, t) for t in a.terms]
+        exts = [eval_term(model, t, memo) for t in a.terms]
         common = exts[0]
         for e in exts[1:]:
             common &= e
         return bool(common)
     if isinstance(a, F.Rcc8):
-        return _rcc8_truth(model, a.rel,
-                           eval_term(model, a.left), eval_term(model, a.right))
+        return _rcc8_truth(model, a.rel, eval_term(model, a.left, memo),
+                           eval_term(model, a.right, memo))
     if isinstance(a, F.Conn):
-        return len(model.frame.components(eval_term(model, a.term))) <= 1
+        return len(model.frame.components(eval_term(model, a.term, memo))) <= 1
     if isinstance(a, F.ConnLe):
-        return len(model.frame.components(eval_term(model, a.term))) <= a.k
+        return len(model.frame.components(eval_term(model, a.term, memo))) <= a.k
     raise SemanticsError(f"not an atom: {a!r}")
 
 
 def holds(model: Model, f: F.Formula, trace: bool = False) -> Verdict:
+    """The truth of f in model, each distinct subterm (by identity)
+    evaluated once. Without `trace`, And and Or stop at the first operand
+    that decides them; with it, every atom is evaluated and the verdict's
+    `trace` maps each atom to its truth. And and Or chains are walked
+    without recursion, however long."""
     check_family(model, f)
     record = {} if trace else None
+    memo: Dict[int, PointSet] = {}
 
     def go(g):
         if isinstance(g, F.ATOM_CLASSES):
-            value = atom_truth(model, g)
+            value = atom_truth(model, g, memo)
             if record is not None:
                 record[g] = value
             return value
+        if isinstance(g, (F.And, F.Or)):
+            # an And chain is decided by a False operand, an Or by a True one
+            decisive = isinstance(g, F.Or)
+            value = not decisive
+            for h in F.operands(g, F.Or if decisive else F.And):
+                if go(h) == decisive:
+                    if record is None:
+                        return decisive
+                    value = decisive
+            return value
         if isinstance(g, F.Not):
             return not go(g.arg)
-        if isinstance(g, F.And):
-            left = go(g.left)
-            if record is None and not left:
-                return False
-            return go(g.right) and left
-        if isinstance(g, F.Or):
-            left = go(g.left)
-            if record is None and left:
-                return True
-            return go(g.right) or left
         if isinstance(g, F.Implies):
             left = go(g.left)
             right = go(g.right)

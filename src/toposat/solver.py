@@ -95,9 +95,12 @@ def check_certificate(model: Model, f: Formula) -> bool:
     return holds(model, f).truth
 
 
-def _verified(result: SolveResult, f: Formula) -> SolveResult:
-    if result.status == SAT and not check_certificate(result.certificate, f):
+def _verified(result: SolveResult, f: Formula, start: float) -> SolveResult:
+    """A SAT result whose certificate passed the re-check against f, its
+    `stats["time"]` taken from `start` to the end of that re-check."""
+    if not check_certificate(result.certificate, f):
         raise SolverError("certificate failed re-verification")
+    result.stats["time"] = time.monotonic() - start
     return result
 
 
@@ -611,8 +614,8 @@ def _finish(f, model, frame_class, tag, tb, start, nodes):
     elif frame_class == "conregc":
         model = Model(model.frame, model.valuation, "conregc")
     result = SolveResult(SAT, model, len(model.frame.points), COMPLETE, "forks",
-                         tb, {"nodes": nodes, "time": time.monotonic() - start})
-    return _verified(result, f)
+                         tb, {"nodes": nodes})
+    return _verified(result, f, start)
 
 
 # ---------------------------------------------------------------------------
@@ -772,19 +775,6 @@ def _cheap_set(goal: Callable, masks: List[int], ctx: _SawCtx) -> bool:
     return goal(masks, ctx)
 
 
-def _conjuncts(g: Formula) -> List[Formula]:
-    """The top-level conjuncts of g, left to right."""
-    out, stack = [], [g]
-    while stack:
-        g = stack.pop()
-        if isinstance(g, And):
-            stack.append(g.right)
-            stack.append(g.left)
-        else:
-            out.append(g)
-    return out
-
-
 class _Prep:
     """Formula preprocessed for the bounded search: the normalized goal
     (`normal`), filters read off its top-level conjuncts, and the goal
@@ -828,7 +818,7 @@ class _Prep:
         self.ncontact_terms = []
         self.conn_bounds = []
         self.rest = []
-        for g in _conjuncts(self.normal):
+        for g in F.operands(self.normal, And):
             if isinstance(g, Eq) and isinstance(g.right, F.Zero):
                 self.zero_terms.append(g.left)
             elif isinstance(g, Not) and isinstance(g.arg, Contact):
@@ -1049,7 +1039,7 @@ class _FenceSteps:
         bounds = lambda a: a.k if isinstance(a, ConnLe) else 1
         self.clip = [bounds(a) + 1 for a in runs]
         self.limit = list(self.clip)
-        for g in _conjuncts(prep.normal):
+        for g in F.operands(prep.normal, And):
             if isinstance(g, (Conn, ConnLe)):
                 self.limit[index[id(g)]] = bounds(g)
 
@@ -1153,13 +1143,13 @@ def _sweep_fence(f: Formula, prep: _Prep, max_points: int, tb,
         return SolveResult(UNSAT_WITHIN_BOUND, None, bound, BOUNDED, "bounded",
                            tb, {**stats, "aborted": True,
                                 "time": time.monotonic() - start})
-    stats["time"] = time.monotonic() - start
     if model is None:
+        stats["time"] = time.monotonic() - start
         return SolveResult(UNSAT_WITHIN_BOUND, None, max_points, BOUNDED,
                            "bounded", tb, stats)
     result = SolveResult(SAT, model, len(model.frame.points), COMPLETE,
                          "bounded", tb, stats)
-    return _verified(result, f)
+    return _verified(result, f, start)
 
 
 def _fence_model(state, parents, variables: Sequence[str]) -> Model:
@@ -1285,7 +1275,8 @@ def sat_bounded(f: Formula, frame_class: str = "regc", max_points: int = 8,
     top-level conn bounds over regular closed sets, while it types the
     points (`_Prep`), so a complete typing, and the empty space before
     it, are checked against the other conjuncts alone; a model found is
-    still re-checked against f."""
+    still re-checked against f. `time_budget` stops the search, not that
+    re-check; `stats["time"]` includes it."""
     start = time.monotonic()
     return _sat_bounded(f, frame_class, max_points, time_budget, start,
                         *F.language(f), refute=False)
@@ -1324,8 +1315,7 @@ def _sat_bounded(f: Formula, frame_class: str, max_points: int,
         model = Model(empty, {v: frozenset() for v in prep.variables},
                       frame_class)
         return _verified(SolveResult(SAT, model, 0, COMPLETE, "bounded", tb,
-                                     {"nodes": 0, "frames": 0,
-                                      "time": time.monotonic() - start}), f)
+                                     {"nodes": 0, "frames": 0}), f, start)
     nvals = 1 << len(prep.variables)
     counters = {"nodes": 0, "frames": 0}
     search = _search_set if whole else _search_rc
@@ -1358,9 +1348,8 @@ def _sat_bounded(f: Formula, frame_class: str, max_points: int,
                                     else frame.rc_from_support(chosen))
                 model = Model(frame, valuation, frame_class)
                 result = SolveResult(SAT, model, n, COMPLETE, "bounded", tb,
-                                     {**counters,
-                                      "time": time.monotonic() - start})
-                return _verified(result, f)
+                                     dict(counters))
+                return _verified(result, f, start)
     except _Timeout:
         return SolveResult(UNSAT_WITHIN_BOUND, None, n - 1, BOUNDED, "bounded",
                            tb, {**counters, "aborted": True,
@@ -1383,7 +1372,8 @@ def solve(f: Formula, frame_class: str = "regc", max_points: int = 8,
     SAT certificate still comes from the fork route or the bounded
     search, which `sat_bounded` runs without this step. `time_budget`
     holds on both routes; a run it stops is an aborted
-    UNSAT_WITHIN_BOUND."""
+    UNSAT_WITHIN_BOUND. It stops the search, not the re-check of a SAT
+    certificate, which `stats["time"]` includes."""
     start = time.monotonic()
     tag, family = F.language(f)
     if forks_decide(tag, frame_class):

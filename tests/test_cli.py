@@ -146,6 +146,57 @@ def test_check_exit_codes(capsys, monkeypatch, tmp_path):
     assert code == 1 and out == "FALSE\n"
 
 
+@pytest.fixture(scope="module")
+def flat_conjunctions(tmp_path_factory):
+    """For 1200 and 10000 literals: a formula file writing their
+    conjunction flat, as `l1 & l2 & ...`, each literal true on the model
+    in the model file beside it."""
+    import random
+    from conftest import rand_c_literal, rand_rc_model
+    from toposat.formula import Not, print_formula
+    from toposat.frames import model_to_json
+    from toposat.semantics import holds
+    rng = random.Random(10000)
+    names = ["a", "b", "c"]
+    model = rand_rc_model(rng, names)
+    literals = []
+    for _ in range(10000):
+        literal = rand_c_literal(rng, names)
+        literals.append(literal if holds(model, literal).truth else Not(literal))
+    tmp_path = tmp_path_factory.mktemp("flat")
+    model_path = write(tmp_path, "m.json", json.dumps(model_to_json(model)))
+    return {n: (write(tmp_path, f"flat{n}.formula",
+                      " & ".join(map(print_formula, literals[:n])) + "\n"),
+                model_path)
+            for n in (1200, 10000)}
+
+
+@pytest.mark.parametrize("count", [1200, 10000])
+def test_check_a_flat_conjunction(capsys, monkeypatch, flat_conjunctions, count):
+    path, model = flat_conjunctions[count]
+    code, out, err = run(capsys, monkeypatch, ["check", path, "--model", model])
+    assert (code, out, err) == (0, "TRUE\n", "")
+    with open(path, encoding="utf-8") as handle:
+        text = handle.read().strip() + " & a * -a != 0\n"
+    code, out, err = run(capsys, monkeypatch, ["check", "--model", model],
+                         stdin=text)
+    assert (code, out, err) == (1, "FALSE\n", "")
+
+
+def test_python_dash_m_runs_the_cli(flat_conjunctions):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+    import toposat
+    path, model = flat_conjunctions[10000]
+    env = {**os.environ, "PYTHONPATH": str(Path(toposat.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-m", "toposat", "check", path,
+                           "--model", model], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "TRUE\n", "")
+
+
 def test_translate_targets(capsys, monkeypatch):
     cases = [
         ("nnf", "!(a = 0 & b != 0)", "a != 0 | b = 0"),

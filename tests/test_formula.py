@@ -109,6 +109,54 @@ def test_tokens():
         ("EOF", "", 3, 1)]
 
 
+def _nodes(f):
+    """Every term and formula occurrence of f."""
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        yield g
+        if isinstance(g, F.ATOM_CLASSES):
+            for t in F.terms_of_atom(g):
+                yield from F.subterms(t)
+        elif isinstance(g, Not):
+            stack.append(g.arg)
+        else:
+            stack.extend((g.left, g.right))
+
+
+def test_parse_shares_equal_subterms():
+    from toposat import gadgets
+    for text in [
+        "C(a * -b, c) & (a * -b = 0 | !(a * -b = 0)) & a * -b <= -b "
+        "& conn_le(300, -b) & !conn_ge(301, -b) & EC(-b, c) -> EC(-b, c)",
+        "x ^ ~y <= cl(~y) | int(x ^ ~y) v cl(~y) = 0",
+        print_formula(gadgets.gen_tiling_formula(gadgets.tiles_mismatched(), 0, 1)),
+    ]:
+        first = {}
+        for node in _nodes(parse(text)):
+            assert first.setdefault(node, node) is node
+
+
+def test_family_errors_keep_their_order():
+    # the first term, left to right, that mixes the families or differs
+    # from the terms before it raises; a set term in a contact only then
+    for text, message in [
+        ("C(~a, b) & -a = 0", "formula mixes regular-closed and set operators"),
+        ("C(~a, b) & a ^ -b = 0", "term mixes regular-closed and set operators"),
+        ("C(~a, b) & a = 0", "contact predicates take regular-closed terms only"),
+    ]:
+        with pytest.raises(FormulaError) as caught:
+            parse(text)
+        assert type(caught.value) is FormulaError and str(caught.value) == message
+    with pytest.raises(ParseError) as caught:
+        parse("C(~a, b) &\n  (-a v b) <= c")
+    assert str(caught.value) == "2:3: term mixes regular-closed and set operators"
+    # parse reads a contact's own terms, classify the formula's family
+    f = parse("C(a, b) & ~a = 0")
+    with pytest.raises(FormulaError, match="contact predicates"):
+        F.classify(f)
+
+
 def test_family_purity():
     with pytest.raises(FormulaError):
         parse("C(x, ~y)")

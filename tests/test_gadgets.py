@@ -85,6 +85,19 @@ def test_tm_formula_roundtrip():
     assert parse(print_formula(f)) == f
 
 
+def test_every_corpus_and_gadget_formula_roundtrips():
+    formulas = [entry.formula for entry in corpus()]
+    formulas += [gen_tm_formula(tm_accepter(), ("a",)),
+                 gen_tm_formula(tm_rejecter(), ()),
+                 gen_atm_formula(atm_rejecter(), ())]
+    formulas += [gen_tiling_formula(tiles, 0, d)
+                 for tiles in (tiles_uniform(), tiles_matched_quad(),
+                               tiles_mismatched())
+                 for d in (1, 2, 3)]
+    for f in formulas:
+        assert parse(print_formula(f)) == f
+
+
 def test_tree_formula_shape():
     m = atm_rejecter()
     f = gen_atm_formula(m, ())

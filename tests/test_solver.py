@@ -760,6 +760,17 @@ def test_time_budget_clock_starts_on_entry():
         assert r.stats.get("aborted") is True
 
 
+def test_sat_time_includes_the_recheck():
+    # SAT over conregc at 5 points, and a certificate re-check of about
+    # 0.1 s: stats["time"] runs to the end of the re-check
+    from toposat import gadgets
+    f = gadgets.gen_tm_formula(gadgets.tm_accepter(), ())
+    start = time.monotonic()
+    r = sat_bounded(f, "conregc", 5)
+    assert r.status == "SAT"
+    assert time.monotonic() - start - r.stats["time"] < 0.05
+
+
 # ---------------------------------------------------------------------------
 # Refutation through the conn-free relaxation
 
