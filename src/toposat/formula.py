@@ -815,35 +815,37 @@ _TERM_PREC = {Sum: 1, Union: 1, Prod: 2, Inter: 2,
 
 
 def print_term(t: Term) -> str:
-    def go(u, parent_prec):
-        prec = _TERM_PREC[type(u)]
-        if isinstance(u, Var):
-            s = u.name
-        elif isinstance(u, Zero):
-            s = "0"
-        elif isinstance(u, One):
-            s = "1"
-        elif isinstance(u, (Sum, Union)):
-            op = " + " if isinstance(u, Sum) else " v "
-            s = go(u.left, prec) + op + go(u.right, prec + 1)
-        elif isinstance(u, (Prod, Inter)):
-            op = " * " if isinstance(u, Prod) else " ^ "
-            s = go(u.left, prec) + op + go(u.right, prec + 1)
-        elif isinstance(u, Compl):
-            s = "-" + go(u.arg, prec)
-        elif isinstance(u, SetCompl):
-            s = "~" + go(u.arg, prec)
-        elif isinstance(u, Interior):
-            return "int(" + go(u.arg, 0) + ")"
-        elif isinstance(u, Closure):
-            return "cl(" + go(u.arg, 0) + ")"
-        else:
-            raise FormulaError(f"not a term: {u!r}")
-        if prec < parent_prec:
-            return "(" + s + ")"
-        return s
+    return _print_term(t, 0)
 
-    return go(t, 0)
+
+def _print_term(u: Term, parent_prec: int) -> str:
+    """print_term of u below an operator of precedence parent_prec (0 at
+    the top), parenthesized where that precedence asks."""
+    kind = type(u)
+    if kind is Var:
+        return u.name
+    prec = _TERM_PREC.get(kind, 0)
+    if kind is Sum or kind is Union:
+        op = " + " if kind is Sum else " v "
+        s = _print_term(u.left, prec) + op + _print_term(u.right, prec + 1)
+    elif kind is Prod or kind is Inter:
+        op = " * " if kind is Prod else " ^ "
+        s = _print_term(u.left, prec) + op + _print_term(u.right, prec + 1)
+    elif kind is Compl:
+        s = "-" + _print_term(u.arg, prec)
+    elif kind is SetCompl:
+        s = "~" + _print_term(u.arg, prec)
+    elif kind is Zero:
+        return "0"
+    elif kind is One:
+        return "1"
+    elif kind is Interior:
+        return "int(" + _print_term(u.arg, 0) + ")"
+    elif kind is Closure:
+        return "cl(" + _print_term(u.arg, 0) + ")"
+    else:
+        raise FormulaError(f"not a term: {u!r}")
+    return "(" + s + ")" if prec < parent_prec else s
 
 
 _FORMULA_PREC = {Implies: 1, Or: 2, And: 3, Not: 4}
@@ -851,34 +853,33 @@ _FORMULA_PREC = {Implies: 1, Or: 2, And: 3, Not: 4}
 
 def print_formula(f: Formula) -> str:
     def go(g, parent_prec):
-        if isinstance(g, Eq):
-            return f"{print_term(g.left)} = {print_term(g.right)}"
-        if isinstance(g, Contact):
-            return "C(" + ", ".join(print_term(t) for t in g.terms) + ")"
-        if isinstance(g, Rcc8):
-            return f"{g.rel}({print_term(g.left)}, {print_term(g.right)})"
-        if isinstance(g, Conn):
-            return f"conn({print_term(g.term)})"
-        if isinstance(g, ConnLe):
-            return f"conn_le({g.k}, {print_term(g.term)})"
-        prec = _FORMULA_PREC[type(g)]
-        if isinstance(g, Not):
-            if isinstance(g.arg, Eq):
-                return f"{print_term(g.arg.left)} != {print_term(g.arg.right)}"
-            inner = go(g.arg, prec)
-            if isinstance(g.arg, ATOM_CLASSES) or isinstance(g.arg, Not):
-                return "!" + inner
-            return "!(" + go(g.arg, 0) + ")"
-        if isinstance(g, And):
+        kind = type(g)
+        if kind is Eq:
+            return _print_term(g.left, 0) + " = " + _print_term(g.right, 0)
+        if kind is Contact:
+            return "C(" + ", ".join([_print_term(t, 0) for t in g.terms]) + ")"
+        if kind is Rcc8:
+            return f"{g.rel}({_print_term(g.left, 0)}, {_print_term(g.right, 0)})"
+        if kind is Conn:
+            return "conn(" + _print_term(g.term, 0) + ")"
+        if kind is ConnLe:
+            return f"conn_le({g.k}, {_print_term(g.term, 0)})"
+        if kind is Not:
+            arg = g.arg
+            if type(arg) is Eq:
+                return _print_term(arg.left, 0) + " != " + _print_term(arg.right, 0)
+            if isinstance(arg, ATOM_CLASSES) or type(arg) is Not:
+                return "!" + go(arg, 0)
+            return "!(" + go(arg, 0) + ")"
+        prec = _FORMULA_PREC.get(kind, 0)
+        if kind is And:
             s = go(g.left, prec) + " & " + go(g.right, prec + 1)
-        elif isinstance(g, Or):
+        elif kind is Or:
             s = go(g.left, prec) + " | " + go(g.right, prec + 1)
-        elif isinstance(g, Implies):
+        elif kind is Implies:
             s = go(g.left, prec + 1) + " -> " + go(g.right, prec)
         else:
             raise FormulaError(f"not a formula: {g!r}")
-        if prec < parent_prec:
-            return "(" + s + ")"
-        return s
+        return "(" + s + ")" if prec < parent_prec else s
 
     return go(f, 0)

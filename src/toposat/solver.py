@@ -14,13 +14,20 @@ finite-model bound, which is known for the fork languages alone. The
 frame class says whether variables range over regular closed sets or
 over arbitrary sets (`frames.RC_CLASSES`).
 
-`solve` adds one step to the bounded search over regc and conregc:
-once the empty space and the one-point frames have failed, the fork
-search (`_fork_teeth`, which `sat_forks` builds its models from) asks
-whether the conn-free relaxation has a model over regc
-(`_relaxation_refuted`). If it has none, neither has the formula, and
-the run ends in a complete UNSAT, method "relaxed-forks"; otherwise
-the bounded search goes on as `sat_bounded` runs it.
+`solve` adds two steps to the bounded search. On every frame class it
+first looks for a unit conflict: a top-level conjunct g whose negation
+!g is a top-level conjunct too (`_unit_conflict`). Such a formula is
+false in every model, so the run ends at once in a complete UNSAT,
+method "units", before the formula is normalized or any frame is
+built. Over regc and conregc, once the empty space and the one-point
+frames have failed, the fork search (`_fork_teeth`, which `sat_forks`
+builds its models from) asks whether the conn-free relaxation has a
+model over regc (`_relaxation_refuted`). If it has none, neither has
+the formula, and the run ends in a complete UNSAT, method
+"relaxed-forks"; otherwise the bounded search goes on as `sat_bounded`
+runs it. The fork route takes neither step, since its literal-set
+search already meets a unit conflict before it searches any type, and
+`sat_bounded` takes neither, so that it stays the plain search.
 
 Both routes share one term compiler, `_Terms`, which turns a term once
 into functions of per-variable masks. Read at one point under a partial
@@ -465,8 +472,13 @@ def _admissible_types(point: _Terms, zero_terms: Sequence[F.Term],
 def fork_bound(f: Formula) -> int:
     """Points needed by a disjoint-fork model per the fork procedure:
     one (arity+1)-fork per potentially existential atom."""
+    return _fork_bound(rcc8_to_c(f))
+
+
+def _fork_bound(c: Formula) -> int:
+    """`fork_bound` of c, a formula without relation atoms."""
     total = 0
-    for a in set(F.atoms(rcc8_to_c(f))):
+    for a in set(F.atoms(c)):
         if isinstance(a, Contact):
             total += len(a.terms) + 1
         else:
@@ -515,10 +527,13 @@ def sat_forks(f: Formula, frame_class: str = "regc") -> SolveResult:
 
 def _sat_forks(f: Formula, frame_class: str, tag: str, family: Optional[str],
                start: float, deadline: Optional[float]) -> SolveResult:
-    """The fork procedure; past `deadline` (a `time.monotonic()` reading,
-    or None) it stops with an aborted UNSAT_WITHIN_BOUND at bound 0."""
-    tb = _theoretical_bound(f, frame_class, tag)
-    g = eq_normalize(rcc8_to_c(f), family)
+    """The fork procedure, for a language `forks_decide` gives it; past
+    `deadline` (a `time.monotonic()` reading, or None) it stops with an
+    aborted UNSAT_WITHIN_BOUND at bound 0. The relation atoms are written
+    as contacts once, for the search and for the theoretical bound."""
+    c = rcc8_to_c(f)
+    tb = _fork_bound(c) + (frame_class == "conregc")
+    g = eq_normalize(c, family)
     variables = sorted(F.variables(g))
     var_index = {v: i for i, v in enumerate(variables)}
     try:
@@ -1169,6 +1184,18 @@ def _fence_model(state, parents, variables: Sequence[str]) -> Model:
 # ---------------------------------------------------------------------------
 # Bounded satisfiability
 
+def _unit_conflict(f: Formula) -> bool:
+    """Whether f's top-level conjuncts hold some g and its negation !g,
+    as equal objects or as separate, structurally equal ones. Then f is
+    false in every model of every frame class."""
+    conjuncts = F.operands(f, And)
+    denied = [g.arg for g in conjuncts if type(g) is Not]
+    # only a conjunct of g's class can equal g: no other is hashed
+    kinds = {type(g) for g in denied}.intersection(map(type, conjuncts))
+    held = {g for g in conjuncts if type(g) in kinds}
+    return any(g in held for g in denied if type(g) in kinds)
+
+
 def _relaxed(g: Formula) -> Optional[Formula]:
     """g, in negation normal form, with every conn and conn_le literal of
     either polarity read as true; None when all of g is. Negation sits on
@@ -1285,12 +1312,15 @@ def sat_bounded(f: Formula, frame_class: str = "regc", max_points: int = 8,
 def _sat_bounded(f: Formula, frame_class: str, max_points: int,
                  time_budget: Optional[float], start: float, tag: str,
                  family: Optional[str], refute: bool) -> SolveResult:
-    """The bounded search; its clock and budget run from `start`. With
-    `refute`, over regc and conregc, once the empty space and the
-    one-point frames have failed, a refutation of the conn-free
-    relaxation (`_relaxation_refuted`) ends the run with a complete
-    UNSAT; if the relaxation is satisfiable the search goes on as
-    without it."""
+    """The bounded search; its clock and budget run from `start`.
+    `refute` adds `solve`'s refutation steps. On every frame class, a
+    unit conflict among f's top-level conjuncts (`_unit_conflict`) ends
+    the run with a complete UNSAT at bound 0, once the input checks have
+    passed and before f is normalized. Over regc and conregc, once the
+    empty space and the one-point frames have failed, a refutation of
+    the conn-free relaxation (`_relaxation_refuted`) ends the run with a
+    complete UNSAT; if the relaxation is satisfiable the search goes on
+    as without it."""
     if max_points < 0:
         raise SolverError("bound must be nonnegative")
     if frame_class not in FRAME_CLASSES:
@@ -1305,6 +1335,10 @@ def _sat_bounded(f: Formula, frame_class: str, max_points: int,
     if problem is not None:
         raise SolverError(problem)
     tb = _theoretical_bound(f, frame_class, tag)
+    if refute and _unit_conflict(f):
+        return SolveResult(UNSAT, None, 0, COMPLETE, "units", tb,
+                           {"nodes": 0, "frames": 0,
+                            "time": time.monotonic() - start})
     deadline = None if time_budget is None else start + time_budget
     prep = _Prep(f, tag, family, whole, deadline)
     if frame_class == "fence":     # a fence has at least one interval
@@ -1322,7 +1356,7 @@ def _sat_bounded(f: Formula, frame_class: str, max_points: int,
     n = 0
     try:
         for n in range(1, max_points + 1):
-            if n == 2 and refute:
+            if n == 2 and refute and frame_class in ("regc", "conregc"):
                 refuted, relaxed_nodes = _relaxation_refuted(prep)
                 if refuted:
                     return SolveResult(UNSAT, None, 1, COMPLETE,
@@ -1365,12 +1399,17 @@ def _sat_bounded(f: Formula, frame_class: str, max_points: int,
 def solve(f: Formula, frame_class: str = "regc", max_points: int = 8,
           time_budget: Optional[float] = None) -> SolveResult:
     """Route to the complete fork procedure when it applies, else to the
-    bounded search. Over regc and conregc the bounded search, once the
-    empty space and the one-point frames have failed, first asks the
-    fork search about the formula's conn-free relaxation; a refuted
-    relaxation gives a complete UNSAT, method "relaxed-forks". Every
-    SAT certificate still comes from the fork route or the bounded
-    search, which `sat_bounded` runs without this step. `time_budget`
+    bounded search. On the bounded route, over every frame class, a
+    top-level conjunct g next to a top-level conjunct !g ends the run
+    before normalization with a complete UNSAT at bound 0, method
+    "units": g & !g is false in every model. Over regc and conregc the
+    bounded search, once the empty space and the one-point frames have
+    failed, asks the fork search about the formula's conn-free
+    relaxation; a refuted relaxation gives a complete UNSAT, method
+    "relaxed-forks". The fork route takes neither step: its literal-set
+    search meets a unit conflict before it searches any type. Every SAT
+    certificate still comes from the fork route or the bounded search,
+    which `sat_bounded` runs without these steps. `time_budget`
     holds on both routes; a run it stops is an aborted
     UNSAT_WITHIN_BOUND. It stops the search, not the re-check of a SAT
     certificate, which `stats["time"]` includes."""
@@ -1380,4 +1419,4 @@ def solve(f: Formula, frame_class: str = "regc", max_points: int = 8,
         return _sat_forks(f, frame_class, tag, family, start,
                           None if time_budget is None else start + time_budget)
     return _sat_bounded(f, frame_class, max_points, time_budget, start, tag,
-                        family, refute=frame_class in ("regc", "conregc"))
+                        family, refute=True)

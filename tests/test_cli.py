@@ -197,6 +197,44 @@ def test_python_dash_m_runs_the_cli(flat_conjunctions):
     assert (done.returncode, done.stdout, done.stderr) == (0, "TRUE\n", "")
 
 
+def test_sat_refutes_a_unit_conflict_end_to_end(tmp_path):
+    # the rejecting machine's formula holds a conjunct and its negation
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+    import toposat
+    from toposat.gadgets import tm_rejecter
+    m = tm_rejecter()
+    spec = {"states": list(m.states), "initial": m.initial,
+            "accepting": m.accepting, "halting": m.halting,
+            "alphabet": list(m.alphabet), "blank": m.blank, "space": m.space,
+            "delta": [[q, a, q2, b, d] for (q, a), (q2, b, d) in m.delta]}
+    env = {**os.environ, "PYTHONPATH": str(Path(toposat.__file__).parents[1])}
+
+    def toposat_cli(*argv):
+        done = subprocess.run([sys.executable, "-m", "toposat", *argv],
+                              capture_output=True, text=True, env=env,
+                              timeout=120)
+        assert done.stderr == ""
+        return done.returncode, done.stdout.splitlines()
+
+    prefix = str(tmp_path / "rejecting")
+    code, out = toposat_cli("generate", "tm", "--spec",
+                            write(tmp_path, "tm.json", json.dumps(spec)),
+                            "--out", prefix)
+    assert code == 0
+    solve = ("sat", "--frame", "conregc", "--bound", "4", prefix + ".formula")
+    assert toposat_cli(*solve) == (20, [
+        "UNSAT bound=0 method=units", "completeness=COMPLETE frames=0 nodes=0"])
+    assert toposat_cli(*solve, "--deterministic") == (
+        20, ["UNSAT bound=0 method=units"])
+    # the bounded method is the bounded search alone
+    assert toposat_cli(*solve, "--method", "bounded") == (30, [
+        "UNSAT_WITHIN_BOUND bound=4 method=bounded",
+        "completeness=BOUNDED frames=4 nodes=796"])
+
+
 def test_translate_targets(capsys, monkeypatch):
     cases = [
         ("nnf", "!(a = 0 & b != 0)", "a != 0 | b = 0"),

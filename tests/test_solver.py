@@ -13,6 +13,7 @@ from toposat.semantics import atom_truth, eval_term, holds
 from toposat.solver import (SolveResult, SolverError, _HubCheck, _Prep,
                             _SawCtx, _Terms, _ToothTypes, _admissible_types,
                             _cheap_rc, _cheap_set, _goal, _mask_atom, _relaxed,
+                            _relaxation_refuted,
                             canonical_saws, check_certificate, fork_bound,
                             forks_decide, sat_bounded, sat_forks, solve,
                             theoretical_bound)
@@ -44,6 +45,31 @@ def test_solve_reports_the_theoretical_bound():
     assert solve(parse("a = 0 & a != 0"), "conregc").theoretical_bound == 3
 
 
+def test_fork_route_translates_relations_once(rng, monkeypatch):
+    # one rcc8_to_c per fork solve, for the search and the bound alike,
+    # and the bound theoretical_bound gives
+    from toposat import gadgets, solver
+    translated = []
+    monkeypatch.setattr(solver, "rcc8_to_c",
+                        lambda f, real=solver.rcc8_to_c:
+                        translated.append(f) or real(f))
+    cases = [(e.formula, frame_class) for e in gadgets.corpus()
+             for frame_class in ("regc", "conregc")
+             if forks_decide(F.classify(e.formula), frame_class)]
+    assert len(cases) >= 5
+    while len(cases) < 205:
+        f = _rand_rc_formula(rng, ["a", "b", "c"])
+        frame_class = ("regc", "conregc")[len(cases) % 2]
+        if forks_decide(F.classify(f), frame_class):
+            cases.append((f, frame_class))
+    for f, frame_class in cases:
+        translated.clear()
+        r = solve(f, frame_class)
+        assert r.method == "forks" and translated == [f]
+        assert r.theoretical_bound == theoretical_bound(f, frame_class) == \
+            fork_bound(f) + (frame_class == "conregc")
+
+
 def test_fork_route_honours_the_budget():
     # 2 ** 14 literal sets, each refuted at once by 1 = 0: the whole
     # refutation takes over a second
@@ -71,15 +97,17 @@ def test_refutation_complete_only_for_the_fork_languages(rng):
         assert r.bound_used == bound
         r = solve(f, frame_class, bound + 1)
         assert r.status == "SAT" and holds(r.certificate, f).truth
-    # off the fork languages a complete refutation comes from the
-    # conn-free relaxation alone, and no model may exist then
+    # off the fork languages a complete refutation comes from a unit
+    # conflict or from the conn-free relaxation alone, and no model may
+    # exist then
     from conftest import rand_bc_formula
     for i in range(60):
         f = rand_bc_formula(rng, ["a", "b"])
         frame_class = ("regc", "conregc")[i % 2]
         r = solve(f, frame_class, 3)
         if r.status == "UNSAT" and not forks_decide(F.classify(f), frame_class):
-            assert r.method == "relaxed-forks"
+            assert r.method in ("units", "relaxed-forks")
+            assert r.completeness == "COMPLETE"
             assert sat_bounded(f, frame_class, 5).status != "SAT"
 
 
@@ -493,8 +521,14 @@ def test_search_counts_are_pinned():
     machine = gadgets.gen_tm_formula(gadgets.tm_rejecter(), ())
     r = solve(machine, "conregc", 4)
     assert (r.status, r.method, r.stats["nodes"], r.stats["frames"]) == \
-        ("UNSAT", "relaxed-forks", 37, 1)
+        ("UNSAT", "units", 0, 0)
+    # the one-point frames' search, which the unit step now spares solve
+    r = sat_bounded(machine, "conregc", 1)
+    assert (r.status, r.stats["nodes"], r.stats["frames"]) == \
+        ("UNSAT_WITHIN_BOUND", 37, 1)
     prep = _Prep(machine, *F.language(machine), False, None)
+    # the refuter, which the unit step now spares this formula
+    assert _relaxation_refuted(prep) == (True, 0)
     types = _ToothTypes(prep.point, prep.zero_terms, prep.ncontact_terms, None)
     assert len(list(types.search(None))) == 36 and types.nodes == 6288
 
@@ -729,12 +763,15 @@ def test_deep_term_on_every_route():
 
 def _unfinishable():
     """An unsatisfiable formula the bounded search cannot finish within a
-    second at 5 points: both machine formulas, whose size makes
-    `language` and `_Prep` take measurable time, and the mismatched
-    d=1 tiling, which no quasi-saw satisfies."""
+    second at 5 points: the accepting machine's formula over five tape
+    cells, whose size makes `language` and `_Prep` take measurable time,
+    and the mismatched d=1 tiling, which no quasi-saw satisfies. No
+    top-level conjunct is the negation of another, so `solve` searches
+    too."""
+    import dataclasses
     from toposat import gadgets
-    return F.conj([gadgets.gen_tm_formula(gadgets.tm_accepter(), ()),
-                   gadgets.gen_tm_formula(gadgets.tm_rejecter(), ()),
+    machine = dataclasses.replace(gadgets.tm_accepter(), space=5)
+    return F.conj([gadgets.gen_tm_formula(machine, ()),
                    gadgets.gen_tiling_formula(gadgets.tiles_mismatched(), 0, 1)])
 
 
@@ -799,7 +836,10 @@ def test_relaxed_refutations_agree_with_the_bounded_search(rng):
         f = rand_conn_formula(rng, ["a", "b"], tag)
         assert F.classify(f) == tag
         r = solve(f, frame_class, 4)
-        if r.method == "relaxed-forks":
+        if r.method == "units":
+            assert r.status == "UNSAT" and r.completeness == "COMPLETE"
+            assert sat_bounded(f, frame_class, 5).status != "SAT"
+        elif r.method == "relaxed-forks":
             assert r.status == "UNSAT" and r.completeness == "COMPLETE"
             assert sat_bounded(f, frame_class, 5).status == "UNSAT_WITHIN_BOUND"
             refuted += 1
@@ -842,6 +882,107 @@ def test_relaxed_refutation_honours_the_budget():
         assert r.status == "UNSAT_WITHIN_BOUND" and r.stats.get("aborted")
         # the one-point frames are done and no two-point frame is begun
         assert r.bound_used == 1 and r.stats["frames"] == 1
+
+
+# ---------------------------------------------------------------------------
+# Unit conflicts: a top-level conjunct next to its own negation
+
+def _buried(rng, conjuncts):
+    """The conjuncts, shuffled, under a random shape of nested And nodes."""
+    items = list(conjuncts)
+    rng.shuffle(items)
+    while len(items) > 1:
+        i = rng.randrange(len(items) - 1)
+        items[i:i + 2] = [F.And(items[i], items[i + 1])]
+    return items[0]
+
+
+def test_unit_conflicts_refuted_on_every_frame_class(rng):
+    import copy
+    from conftest import rand_conn_formula
+    tags = ("Bc", "Cc", "Ccc", "Cmc")
+    draw = {"regc": lambda i: rand_conn_formula(rng, ["a", "b"], tags[i % 4]),
+            "conregc": lambda i: rand_conn_formula(rng, ["a", "b"], tags[i % 4]),
+            "all": lambda i: _rand_set_formula(rng, ["a", "b"]),
+            "con": lambda i: _rand_set_formula(rng, ["a", "b"]),
+            "fence": lambda i: _rand_fence_formula(rng, ["a", "b"])}
+    for frame_class, make in draw.items():
+        for i in range(8):
+            base = make(i)
+            literal = rng.choice(list(F.atoms(base)))
+            if i % 2:
+                literal = Not(literal)
+            # the negated literal is a separate object, equal to the other
+            twin = copy.deepcopy(literal)
+            assert twin == literal and twin is not literal
+            f = _buried(rng, F.operands(base, F.And) + [literal, Not(twin)])
+            r = solve(f, frame_class, 4)
+            assert (r.status, r.completeness, r.method, r.bound_used) == \
+                ("UNSAT", "COMPLETE", "units", 0)
+            assert r.theoretical_bound is None
+            assert (r.stats["nodes"], r.stats["frames"]) == (0, 0)
+            for bound in (4, 5):
+                assert sat_bounded(f, frame_class, bound).status != "SAT"
+
+
+# satisfiable formulas whose conjuncts hold a literal and its negation
+# only inside a disjunction, or a literal and the negation of one that
+# differs from it inside a term, with what the search before the unit
+# step gave: status, method, bound used, nodes and frames
+_NO_UNIT_CONFLICT = [
+    ("(C(a, b) | !C(a, b)) & conn(a + b)", "regc",
+     ("SAT", "bounded", 0, 0, 0)),
+    ("C(a, b) & (!C(a, b) | conn(a))", "regc",
+     ("SAT", "bounded", 1, 5, 1)),
+    ("C(a, b) & !C(a, -b) & conn(a)", "regc",
+     ("SAT", "bounded", 1, 4, 1)),
+    ("a * b != 0 & conn(a) & !conn(-a)", "conregc",
+     ("SAT", "bounded", 5, 95, 5)),
+    ("(conn(a) | !conn(a)) & a * -b = 0 & a != 0", "conregc",
+     ("SAT", "bounded", 1, 4, 1)),
+    ("int(a) = a & cl(a) != a", "all",
+     ("SAT", "bounded", 2, 12, 2)),
+    ("(conn(a ^ b) | !conn(a ^ b)) & conn(a v b) & !conn(a)", "all",
+     ("SAT", "bounded", 3, 85, 4)),
+    ("conn(a v b) & !conn(a ^ ~b)", "con",
+     ("SAT", "bounded", 3, 60, 3)),
+    ("cl(a) = a & (int(a) != a | conn_le(2, a))", "con",
+     ("SAT", "bounded", 0, 0, 0)),
+    ("C(a, b) & !C(a, -b) & conn(a)", "fence",
+     ("SAT", "bounded", 1, 1, 1)),
+    ("(conn(a) | !conn(a)) & C(a, b) & a * b = 0", "fence",
+     ("SAT", "bounded", 3, 3, 2)),
+    ("conn_le(2, a) & !conn_le(1, a)", "fence",
+     ("SAT", "bounded", 5, 4, 3)),
+]
+
+
+@pytest.mark.parametrize("text, frame_class, expected", _NO_UNIT_CONFLICT)
+def test_no_unit_conflict_searches_as_before(text, frame_class, expected):
+    f = parse(text)
+    r = solve(f, frame_class, 5)
+    status, method, bound, nodes, frames = expected
+    assert r.status == status
+    assert r.method == method
+    assert r.bound_used == bound
+    assert r.stats["nodes"] == nodes
+    assert r.stats["frames"] == frames
+    assert holds(r.certificate, f).truth
+
+
+def test_unit_conflicts_keep_the_input_errors():
+    # a contradictory formula raises what the formula without its
+    # negated conjunct raises
+    cases = [("conn(a)", "regc", -1, "bound must be nonnegative"),
+             ("conn(a)", "torus", 4, "unknown frame class"),
+             ("conn(a + b)", "all", 4, "regular-closed formula on a raw set"),
+             ("conn(a ^ b)", "regc", 4, "set-operator formula on a regular"),
+             ("C(a, b) & conn(a)", "con", 4, "contact and relation atoms")]
+    for text, frame_class, bound, message in cases:
+        g = parse(text)
+        for f in (g, F.And(g, Not(F.operands(g, F.And)[0]))):
+            with pytest.raises(SolverError, match=message):
+                solve(f, frame_class, bound)
 
 
 # ---------------------------------------------------------------------------
