@@ -48,8 +48,10 @@ bound's support from one tooth to the next (`_place_teeth`); and the
 frames of each size, with their contexts, are listed once per process
 (`_frames_at`).
 
-Every satisfying result is re-verified against the plain model checker
-before it is returned.
+Every route leaves through one exit, `_result`, which re-checks a SAT
+certificate against the plain model checker; a result's completeness
+follows from its status. `_model` builds every certificate, and
+`_check_clock` reads every budget, also while a formula is prepared.
 """
 
 import copy
@@ -83,10 +85,12 @@ BOUNDED = "BOUNDED"
 
 @dataclass
 class SolveResult:
+    """A verdict, built by `_result`, the one exit of every route, whose
+    budget is read from preparation on. Its completeness follows from
+    its status: only UNSAT_WITHIN_BOUND is bounded."""
     status: str
     certificate: Optional[Model] = None
     bound_used: int = 0
-    completeness: str = BOUNDED
     method: str = ""
     theoretical_bound: Optional[int] = None
     stats: Dict = field(default_factory=dict)
@@ -94,29 +98,57 @@ class SolveResult:
     def __post_init__(self):
         if self.status == SAT and self.certificate is None:
             raise SolverError("satisfying verdict without certificate")
-        if self.status == UNSAT and self.completeness != COMPLETE:
-            raise SolverError("complete refutation claimed by a bounded run")
+
+    @property
+    def completeness(self) -> str:
+        return BOUNDED if self.status == UNSAT_WITHIN_BOUND else COMPLETE
 
 
 def check_certificate(model: Model, f: Formula) -> bool:
     return holds(model, f).truth
 
 
-def _verified(result: SolveResult, f: Formula, start: float) -> SolveResult:
-    """A SAT result whose certificate passed the re-check against f, its
-    `stats["time"]` taken from `start` to the end of that re-check."""
-    if not check_certificate(result.certificate, f):
-        raise SolverError("certificate failed re-verification")
-    result.stats["time"] = time.monotonic() - start
-    return result
+def _result(f: Formula, start: float, status: str, method: str,
+            tb: Optional[int], stats: Dict, bound: int = 0,
+            model: Optional[Model] = None) -> SolveResult:
+    """The one exit of every route. A certificate must pass the re-check
+    against f, or `SolverError` is raised, and its point count is the
+    bound used; `stats["time"]` runs from `start` to the end of it all."""
+    if model is not None:
+        if not check_certificate(model, f):
+            raise SolverError("certificate failed re-verification")
+        bound = len(model.frame.points)
+    stats["time"] = time.monotonic() - start
+    return SolveResult(status, model, bound, method, tb, stats)
+
+
+def _model(frame, points: Sequence[str], masks: Iterable[int],
+           variables: Sequence[str], frame_class: str) -> Model:
+    """The model over `frame` whose k-th variable holds the points that
+    bit i of masks[k] picks out of `points`: as they are over the
+    power-set classes, as the regular closed set they support
+    otherwise."""
+    whole = frame_class not in RC_CLASSES
+    valuation = {}
+    for v, mask in zip(variables, masks):
+        chosen = frozenset(x for i, x in enumerate(points) if mask >> i & 1)
+        valuation[v] = chosen if whole else frame.rc_from_support(chosen)
+    return Model(frame, valuation, frame_class)
+
+
+class _Timeout(Exception):
+    """The time budget ran out."""
+
+
+def _check_clock(deadline: Optional[float]):
+    """Raise `_Timeout` once `deadline`, a `time.monotonic()` reading,
+    has passed; None sets no deadline."""
+    if deadline is not None and time.monotonic() > deadline:
+        raise _Timeout
 
 
 # ---------------------------------------------------------------------------
 # Dual-rail evaluation: one compiled form for every term and formula
-
-class _Timeout(Exception):
-    """The time budget ran out inside a search."""
-
 
 def _zero(V, C):
     return 0
@@ -362,8 +394,8 @@ class _ToothTypes:
     missed, by dual-rail evaluation of the partial type. Whether a prefix
     of bits forces a violation is kept across searches, and each wanted
     term's types are drawn once and kept, because `_find_fork` backtracks
-    over them. Past `deadline` (a `time.monotonic()` reading,
-    or None) the search raises `_Timeout`.
+    over them. Past `deadline` (a `time.monotonic()` reading, or None)
+    the checks' compilation and the search raise `_Timeout`.
 
     A check (a zero term, or the terms of a forbidden contact) is
     violated when the point surely lies in it, and each variable keeps
@@ -396,6 +428,7 @@ class _ToothTypes:
             ([], []) for _ in var_index]
         self.blocked = False
         for check in [[t] for t in zero_terms] + [list(s) for s in ncontact_terms]:
+            _check_clock(deadline)
             at = _polarities(check, var_index)
             # whether the point surely lies in every term of the check
             fn = reduce(_both, [point(t)[0] for t in check])
@@ -448,8 +481,7 @@ class _ToothTypes:
             prefix |= tried[i] << i
             tried[i] += 1
             self.nodes += 1
-            if deadline is not None and time.monotonic() > deadline:
-                raise _Timeout
+            _check_clock(deadline)
             no = ((2 << i) - 1) & ~prefix
             dead = self._dead.get((i, prefix))
             if dead is None:
@@ -533,28 +565,29 @@ def _sat_forks(f: Formula, frame_class: str, tag: str, family: Optional[str],
     as contacts once, for the search and for the theoretical bound."""
     c = rcc8_to_c(f)
     tb = _fork_bound(c) + (frame_class == "conregc")
-    g = eq_normalize(c, family)
-    variables = sorted(F.variables(g))
-    var_index = {v: i for i, v in enumerate(variables)}
     try:
+        g = eq_normalize(c, family)
+        _check_clock(deadline)
+        variables = sorted(F.variables(g))
+        var_index = {v: i for i, v in enumerate(variables)}
         fork_teeth, nodes = _fork_teeth(g, _Terms(var_index), deadline)
     except _Timeout:
-        return SolveResult(UNSAT_WITHIN_BOUND, None, 0, BOUNDED, "forks", tb,
-                           {"aborted": True, "time": time.monotonic() - start})
+        return _result(f, start, UNSAT_WITHIN_BOUND, "forks", tb,
+                       {"aborted": True})
     if fork_teeth is None:
-        return SolveResult(UNSAT, None, 0, COMPLETE, "forks", tb,
-                           {"nodes": nodes, "time": time.monotonic() - start})
+        return _result(f, start, UNSAT, "forks", tb, {"nodes": nodes})
     frame = make_fork_frame([len(ts) for ts in fork_teeth])
-    supports = {v: set() for v in variables}
-    for i, teeth in enumerate(fork_teeth):
-        for j, m in enumerate(teeth):
-            for v, k in var_index.items():
-                if m >> k & 1:
-                    supports[v].add(f"t{i}_{j}")
-    valuation = {v: frame.rc_from_support(frozenset(s))
-                 for v, s in supports.items()}
-    model = Model(frame, valuation, "regc")
-    return _finish(f, model, frame_class, tag, tb, start, nodes)
+    points = [f"t{i}_{j}" for i, teeth in enumerate(fork_teeth)
+              for j in range(len(teeth))]
+    types = [m for teeth in fork_teeth for m in teeth]
+    masks = [sum(1 << i for i, m in enumerate(types) if m >> k & 1)
+             for k in range(len(variables))]
+    model = _model(frame, points, masks, variables, "regc")
+    if frame_class == "conregc" and not frame.is_connected():
+        model = connectify(model, "b" if tag == "B" else "rcc8")
+    elif frame_class == "conregc":
+        model = Model(frame, model.valuation, "conregc")
+    return _result(f, start, SAT, "forks", tb, {"nodes": nodes}, model=model)
 
 
 def _fork_teeth(g: Formula, point: _Terms, deadline: Optional[float]
@@ -570,8 +603,7 @@ def _fork_teeth(g: Formula, point: _Terms, deadline: Optional[float]
     skeleton, table = F.propositional_skeleton(g)
     nodes = 0
     for literals in F.literal_sets(skeleton, table):
-        if deadline is not None and time.monotonic() > deadline:
-            raise _Timeout
+        _check_clock(deadline)
         zeros, nonzeros, contacts, ncontacts = [], [], [], []
         for lit in sorted(literals, key=abs):
             atom = table[abs(lit)]
@@ -621,16 +653,6 @@ def _find_fork(terms, types: _ToothTypes, hub: _HubCheck):
         return False
 
     return list(teeth) if go(0) else None
-
-
-def _finish(f, model, frame_class, tag, tb, start, nodes):
-    if frame_class == "conregc" and not model.frame.is_connected():
-        model = connectify(model, "b" if tag == "B" else "rcc8")
-    elif frame_class == "conregc":
-        model = Model(model.frame, model.valuation, "conregc")
-    result = SolveResult(SAT, model, len(model.frame.points), COMPLETE, "forks",
-                         tb, {"nodes": nodes})
-    return _verified(result, f, start)
 
 
 # ---------------------------------------------------------------------------
@@ -818,12 +840,17 @@ class _Prep:
       hub links its teeth and every tooth is sealed, so it counts every
       component of the term's support.
     Each of them is also true in the empty space, so `goal` over an
-    empty `_SawCtx` decides the empty space."""
+    empty `_SawCtx` decides the empty space. Past `deadline` the
+    rewrites, the conjunct loop and the type listing raise `_Timeout`."""
 
     def __init__(self, f: Formula, tag: str, family: Optional[str],
                  whole: bool, deadline: Optional[float]):
         self.deadline = deadline
-        self.normal = nnf(eq_normalize(f if whole else rcc8_to_c(f), family))
+        c = f if whole else rcc8_to_c(f)
+        _check_clock(deadline)
+        c = eq_normalize(c, family)
+        _check_clock(deadline)
+        self.normal = nnf(c)
         self.variables = sorted(F.variables(f))
         self.var_index = {v: i for i, v in enumerate(self.variables)}
         self.point = _Terms(self.var_index)
@@ -834,6 +861,7 @@ class _Prep:
         self.conn_bounds = []
         self.rest = []
         for g in F.operands(self.normal, And):
+            _check_clock(deadline)
             if isinstance(g, Eq) and isinstance(g.right, F.Zero):
                 self.zero_terms.append(g.left)
             elif isinstance(g, Not) and isinstance(g.arg, Contact):
@@ -885,12 +913,6 @@ class _Prep:
         return self._admissible
 
 
-def _tick(counters: Dict, deadline: Optional[float]):
-    counters["nodes"] += 1
-    if deadline is not None and time.monotonic() > deadline:
-        raise _Timeout
-
-
 def _place_teeth(ctx: _SawCtx, prep: _Prep, counters: Dict,
                  fits: Callable, done: Callable):
     """Admissible depth-0 types for the teeth in order, each type once
@@ -916,7 +938,8 @@ def _place_teeth(ctx: _SawCtx, prep: _Prep, counters: Dict,
     used = set()
 
     def place(i):
-        _tick(counters, prep.deadline)
+        counters["nodes"] += 1
+        _check_clock(prep.deadline)
         if i == p:
             return done(types, rows[p])
         lo = 0
@@ -996,7 +1019,8 @@ def _search_set(ctx: _SawCtx, prep: _Prep, counters: Dict) -> Optional[List[int]
     teeth_of = []       # per variable, its teeth, once all are typed
 
     def place_hub(j):
-        _tick(counters, prep.deadline)
+        counters["nodes"] += 1
+        _check_clock(prep.deadline)
         if j == q:
             masks = [teeth_of[k] | sum(1 << (p + h) for h in range(q)
                                        if hub_types[h] >> k & 1)
@@ -1125,7 +1149,8 @@ def _sweep_fence(f: Formula, prep: _Prep, max_points: int, tb,
             stats["frames"] += 1
             fresh = []
             for state in frontier:
-                _tick(stats, prep.deadline)
+                stats["nodes"] += 1
+                _check_clock(prep.deadline)
                 last, seen, counts = state
                 for m, witnessed, begun in fence.after(last):
                     grown = counts
@@ -1155,16 +1180,12 @@ def _sweep_fence(f: Formula, prep: _Prep, max_points: int, tb,
                     stats["saturated_at"] = bound
             frontier = fresh
     except _Timeout:
-        return SolveResult(UNSAT_WITHIN_BOUND, None, bound, BOUNDED, "bounded",
-                           tb, {**stats, "aborted": True,
-                                "time": time.monotonic() - start})
+        stats["aborted"] = True
+        return _result(f, start, UNSAT_WITHIN_BOUND, "bounded", tb, stats, bound)
     if model is None:
-        stats["time"] = time.monotonic() - start
-        return SolveResult(UNSAT_WITHIN_BOUND, None, max_points, BOUNDED,
-                           "bounded", tb, stats)
-    result = SolveResult(SAT, model, len(model.frame.points), COMPLETE,
-                         "bounded", tb, stats)
-    return _verified(result, f, start)
+        return _result(f, start, UNSAT_WITHIN_BOUND, "bounded", tb, stats,
+                       max_points)
+    return _result(f, start, SAT, "bounded", tb, stats, model=model)
 
 
 def _fence_model(state, parents, variables: Sequence[str]) -> Model:
@@ -1174,11 +1195,10 @@ def _fence_model(state, parents, variables: Sequence[str]) -> Model:
     while state[0] is not None:
         types.append(state[0])
         state = parents[state]
-    frame = make_fence(len(types))
-    valuation = {v: frame.rc_from_support(frozenset(
-        f"i{j}" for j, m in enumerate(types) if m >> k & 1))
-        for k, v in enumerate(variables)}
-    return Model(frame, valuation, "fence")
+    points = [f"i{j}" for j in range(len(types))]
+    masks = [sum(1 << j for j, m in enumerate(types) if m >> k & 1)
+             for k in range(len(variables))]
+    return _model(make_fence(len(types)), points, masks, variables, "fence")
 
 
 # ---------------------------------------------------------------------------
@@ -1302,8 +1322,9 @@ def sat_bounded(f: Formula, frame_class: str = "regc", max_points: int = 8,
     top-level conn bounds over regular closed sets, while it types the
     points (`_Prep`), so a complete typing, and the empty space before
     it, are checked against the other conjuncts alone; a model found is
-    still re-checked against f. `time_budget` stops the search, not that
-    re-check; `stats["time"]` includes it."""
+    still re-checked against f, in the one exit `_result`. `time_budget`
+    is read while f is prepared and searched, not in that re-check,
+    which `stats["time"]` includes. Completeness follows from status."""
     start = time.monotonic()
     return _sat_bounded(f, frame_class, max_points, time_budget, start,
                         *F.language(f), refute=False)
@@ -1335,65 +1356,45 @@ def _sat_bounded(f: Formula, frame_class: str, max_points: int,
     if problem is not None:
         raise SolverError(problem)
     tb = _theoretical_bound(f, frame_class, tag)
-    if refute and _unit_conflict(f):
-        return SolveResult(UNSAT, None, 0, COMPLETE, "units", tb,
-                           {"nodes": 0, "frames": 0,
-                            "time": time.monotonic() - start})
-    deadline = None if time_budget is None else start + time_budget
-    prep = _Prep(f, tag, family, whole, deadline)
-    if frame_class == "fence":     # a fence has at least one interval
-        return _sweep_fence(f, prep, max_points, tb, start)
-    # the empty space, where every conjunct the search enforces holds
-    empty = QuasiSawFrame([], [], {})
-    if prep.goal([0] * len(prep.variables), _SawCtx(empty, whole)):
-        model = Model(empty, {v: frozenset() for v in prep.variables},
-                      frame_class)
-        return _verified(SolveResult(SAT, model, 0, COMPLETE, "bounded", tb,
-                                     {"nodes": 0, "frames": 0}), f, start)
-    nvals = 1 << len(prep.variables)
     counters = {"nodes": 0, "frames": 0}
+    if refute and _unit_conflict(f):
+        return _result(f, start, UNSAT, "units", tb, counters)
+    deadline = None if time_budget is None else start + time_budget
     search = _search_set if whole else _search_rc
-    n = 0
+    n = 1       # the size searched: every smaller one is done
     try:
+        prep = _Prep(f, tag, family, whole, deadline)
+        if frame_class == "fence":     # a fence has at least one interval
+            return _sweep_fence(f, prep, max_points, tb, start)
+        # the empty space, where every conjunct the search enforces holds
+        empty = QuasiSawFrame([], [], {})
+        if prep.goal([0] * len(prep.variables), _SawCtx(empty, whole)):
+            model = _model(empty, [], [0] * len(prep.variables),
+                           prep.variables, frame_class)
+            return _result(f, start, SAT, "bounded", tb, counters, model=model)
         for n in range(1, max_points + 1):
             if n == 2 and refute and frame_class in ("regc", "conregc"):
                 refuted, relaxed_nodes = _relaxation_refuted(prep)
                 if refuted:
-                    return SolveResult(UNSAT, None, 1, COMPLETE,
-                                       "relaxed-forks", tb,
-                                       {**counters,
-                                        "relaxed_nodes": relaxed_nodes,
-                                        "time": time.monotonic() - start})
+                    counters["relaxed_nodes"] = relaxed_nodes
+                    return _result(f, start, UNSAT, "relaxed-forks", tb,
+                                   counters, 1)
             for frame, ctx in _frames_at(n, frame_class, prep):
-                if deadline is not None and time.monotonic() > deadline:
-                    raise _Timeout
+                _check_clock(deadline)
                 counters["frames"] += 1
-                if prep.conn_free and ctx.p > nvals:
-                    continue
                 found = search(ctx, prep, counters)
-                if found is None:
-                    continue
-                points = ctx.teeth + ctx.hubs if whole else ctx.teeth
-                valuation = {}
-                for v, mask in zip(prep.variables, found):
-                    chosen = frozenset(x for i, x in enumerate(points)
-                                       if mask >> i & 1)
-                    valuation[v] = (chosen if whole
-                                    else frame.rc_from_support(chosen))
-                model = Model(frame, valuation, frame_class)
-                result = SolveResult(SAT, model, n, COMPLETE, "bounded", tb,
-                                     dict(counters))
-                return _verified(result, f, start)
+                if found is not None:
+                    points = ctx.teeth + ctx.hubs if whole else ctx.teeth
+                    model = _model(frame, points, found, prep.variables,
+                                   frame_class)
+                    return _result(f, start, SAT, "bounded", tb, counters,
+                                   model=model)
     except _Timeout:
-        return SolveResult(UNSAT_WITHIN_BOUND, None, n - 1, BOUNDED, "bounded",
-                           tb, {**counters, "aborted": True,
-                                "time": time.monotonic() - start})
-    if tb is not None and max_points >= tb:
-        return SolveResult(UNSAT, None, max_points, COMPLETE, "bounded", tb,
-                           {**counters, "time": time.monotonic() - start})
-    return SolveResult(UNSAT_WITHIN_BOUND, None, max_points, BOUNDED,
-                       "bounded", tb,
-                       {**counters, "time": time.monotonic() - start})
+        counters["aborted"] = True
+        return _result(f, start, UNSAT_WITHIN_BOUND, "bounded", tb, counters,
+                       n - 1)
+    status = UNSAT if tb is not None and max_points >= tb else UNSAT_WITHIN_BOUND
+    return _result(f, start, status, "bounded", tb, counters, max_points)
 
 
 def solve(f: Formula, frame_class: str = "regc", max_points: int = 8,
@@ -1409,10 +1410,11 @@ def solve(f: Formula, frame_class: str = "regc", max_points: int = 8,
     "relaxed-forks". The fork route takes neither step: its literal-set
     search meets a unit conflict before it searches any type. Every SAT
     certificate still comes from the fork route or the bounded search,
-    which `sat_bounded` runs without these steps. `time_budget`
-    holds on both routes; a run it stops is an aborted
-    UNSAT_WITHIN_BOUND. It stops the search, not the re-check of a SAT
-    certificate, which `stats["time"]` includes."""
+    which `sat_bounded` runs without these steps. Both routes leave
+    through `_result`, and completeness follows from status.
+    `time_budget` holds on both, while the formula is prepared and
+    searched; a run it stops is an aborted UNSAT_WITHIN_BOUND. It stops
+    no re-check of a SAT certificate, which `stats["time"]` includes."""
     start = time.monotonic()
     tag, family = F.language(f)
     if forks_decide(tag, frame_class):

@@ -235,8 +235,50 @@ def test_solve_routes_bounded():
 def test_solve_result_guards():
     with pytest.raises(SolverError):
         SolveResult("SAT")
-    with pytest.raises(SolverError):
-        SolveResult("UNSAT", completeness="BOUNDED")
+
+
+# one call per route and exit: (run, text, frame class, bound, budget,
+# method, status); a budget of 0 stops the run at its first clock reading
+_EXITS = [
+    (solve, "C(a, b)", "regc", 8, None, "forks", "SAT"),
+    (solve, "a != 0 & b != 0 & a * b = 0", "conregc", 8, None, "forks", "SAT"),
+    (solve, "C(a, b) & !C(a, b)", "regc", 8, None, "forks", "UNSAT"),
+    (solve, "C(a, b)", "regc", 8, 0.0, "forks", "UNSAT_WITHIN_BOUND"),
+    (solve, "conn(b) & a = 0 & a != 0", "regc", 4, None, "units", "UNSAT"),
+    (solve, "conn(c) & C(a, c) & 1 = 0", "regc", 4, None, "relaxed-forks",
+     "UNSAT"),
+    (solve, "conn(a) & a != 0 & -a != 0", "conregc", 4, None, "bounded", "SAT"),
+    (solve, "conn(a) & a = 0", "regc", 3, None, "bounded", "SAT"),
+    (sat_bounded, "a != 0 & a != 1", "all", 3, None, "bounded", "SAT"),
+    (sat_bounded, "a != 0 & a = 0", "conregc", 4, None, "bounded", "UNSAT"),
+    (sat_bounded, "conn_le(1, a) & !conn(a) & a != 0", "regc", 3, None,
+     "bounded", "UNSAT_WITHIN_BOUND"),
+    (sat_bounded, "conn(a) & !conn(a)", "regc", 6, 0.0, "bounded",
+     "UNSAT_WITHIN_BOUND"),
+    (solve, "EC(a, b) & EC(b, c) & DC(a, c)", "fence", 7, None, "bounded",
+     "SAT"),
+    (sat_bounded, "a != 0 & a = 0", "fence", 7, None, "bounded",
+     "UNSAT_WITHIN_BOUND"),
+    (sat_bounded, "EC(a, b) & EC(b, c) & DC(a, c)", "fence", 7, 0.0,
+     "bounded", "UNSAT_WITHIN_BOUND"),
+]
+
+
+@pytest.mark.parametrize("run, text, frame_class, bound, budget, method, status",
+                         _EXITS)
+def test_every_route_leaves_through_one_exit(run, text, frame_class, bound,
+                                             budget, method, status):
+    f = parse(text)
+    r = run(f, frame_class, bound, time_budget=budget)
+    assert (r.method, r.status) == (method, status)
+    assert r.completeness == ("BOUNDED" if status == "UNSAT_WITHIN_BOUND"
+                              else "COMPLETE")
+    assert r.stats["time"] >= 0
+    assert r.stats.get("aborted", False) is (budget is not None)
+    if status == "SAT":
+        assert r.bound_used == len(r.certificate.frame.points)
+        assert r.certificate.frame_class == frame_class
+        assert holds(r.certificate, f).truth
 
 
 def test_forks_agree_with_bounded(rng):
@@ -795,6 +837,29 @@ def test_time_budget_clock_starts_on_entry():
         r = run(f, "conregc", 5, time_budget=1.0)
         assert time.monotonic() - start - r.stats["time"] < 0.05
         assert r.stats.get("aborted") is True
+
+
+def test_time_budget_read_while_preparing():
+    # the accepting machine over eight tape cells and the mismatched
+    # tiling: normalizing it and compiling its type checks take longer
+    # than the budget, and a run stops inside them
+    import dataclasses
+    from toposat import gadgets
+    machine = dataclasses.replace(gadgets.tm_accepter(), space=8)
+    f = F.conj([gadgets.gen_tm_formula(machine, ()),
+                gadgets.gen_tiling_formula(gadgets.tiles_mismatched(), 0, 1)])
+    tag, family = F.language(f)
+    start = time.monotonic()
+    prep = _Prep(f, tag, family, False, None)
+    _ToothTypes(prep.point, prep.zero_terms, prep.ncontact_terms, None)
+    preparing = time.monotonic() - start
+    budget = 0.2
+    for run in (sat_bounded, solve):
+        start = time.monotonic()
+        r = run(f, "conregc", 5, time_budget=budget)
+        assert time.monotonic() - start < budget + preparing / 3, run
+        assert r.status == "UNSAT_WITHIN_BOUND" and r.stats["aborted"] is True
+        assert r.bound_used == 0
 
 
 def test_sat_time_includes_the_recheck():
