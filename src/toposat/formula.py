@@ -180,25 +180,38 @@ class Implies(Formula):
 ATOM_CLASSES = (Eq, Contact, Rcc8, Conn, ConnLe)
 
 
+def _chain(cls, parts, make=None) -> Formula:
+    """The chain of `cls` (And or Or) over parts, left to right: a part
+    that is itself such a chain is spliced in, and the operands are
+    joined into a balanced binary tree, split at the middle, so n of
+    them nest ceil(log2 n) deep and the recursive walkers stay shallow.
+    Every & and | chain is built here, so a chain printed flat parses
+    back to itself. Each node is make(left, right), cls by default."""
+    flat = [g for part in parts
+            for g in (operands(part, cls) if type(part) is cls else (part,))]
+    if not flat:
+        raise FormulaError(f"empty {'conjunction' if cls is And else 'disjunction'}")
+    return _join(flat, 0, len(flat), make or cls)
+
+
+def _join(flat, lo, hi, make):
+    """flat[lo:hi] joined by make, split at the middle. Not a closure: one
+    that calls itself is a reference cycle, which keeps flat and the
+    parser that `make` holds alive until the cycle collector runs."""
+    if hi - lo == 1:
+        return flat[lo]
+    mid = (lo + hi) // 2
+    return make(_join(flat, lo, mid, make), _join(flat, mid, hi, make))
+
+
 def conj(formulas):
-    """Right-nested conjunction of a non-empty list."""
-    formulas = list(formulas)
-    if not formulas:
-        raise FormulaError("empty conjunction")
-    out = formulas[-1]
-    for f in reversed(formulas[:-1]):
-        out = And(f, out)
-    return out
+    """Conjunction of a non-empty list, as a balanced chain (`_chain`)."""
+    return _chain(And, formulas)
 
 
 def disj(formulas):
-    formulas = list(formulas)
-    if not formulas:
-        raise FormulaError("empty disjunction")
-    out = formulas[-1]
-    for f in reversed(formulas[:-1]):
-        out = Or(f, out)
-    return out
+    """Disjunction of a non-empty list, as a balanced chain (`_chain`)."""
+    return _chain(Or, formulas)
 
 
 # the meet and complement `leq` writes t1 <= t2 with, by term family
@@ -638,19 +651,21 @@ class _Parser:
             return self.share(Implies, left, self.parse_imp())
         return left
 
-    def parse_disj(self):
-        f = self.parse_conj()
-        while self.peek()[0] == "|":
+    def parse_chain(self, cls, op, parse_part):
+        """The `op`-separated parts as one balanced chain (`_chain`); a lone
+        part is returned as it is, since every parsed chain is balanced."""
+        parts = [parse_part()]
+        while self.peek()[0] == op:
             self.next()
-            f = self.share(Or, f, self.parse_conj())
-        return f
+            parts.append(parse_part())
+        return parts[0] if len(parts) == 1 else _chain(
+            cls, parts, lambda l, r: self.share(cls, l, r))
+
+    def parse_disj(self):
+        return self.parse_chain(Or, "|", self.parse_conj)
 
     def parse_conj(self):
-        f = self.parse_lit()
-        while self.peek()[0] == "&":
-            self.next()
-            f = self.share(And, f, self.parse_lit())
-        return f
+        return self.parse_chain(And, "&", self.parse_lit)
 
     def parse_lit(self):
         kind = self.peek()[0]
@@ -872,10 +887,10 @@ def print_formula(f: Formula) -> str:
                 return "!" + go(arg, 0)
             return "!(" + go(arg, 0) + ")"
         prec = _FORMULA_PREC.get(kind, 0)
-        if kind is And:
-            s = go(g.left, prec) + " & " + go(g.right, prec + 1)
-        elif kind is Or:
-            s = go(g.left, prec) + " | " + go(g.right, prec + 1)
+        # & and | are associative, so a chain prints flat however it nests
+        if kind is And or kind is Or:
+            op = " & " if kind is And else " | "
+            s = go(g.left, prec) + op + go(g.right, prec)
         elif kind is Implies:
             s = go(g.left, prec + 1) + " -> " + go(g.right, prec)
         else:

@@ -8,6 +8,7 @@ and exponential-grid tilings encoded with coordinate counters.
 
 import itertools
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from . import formula as F
@@ -254,37 +255,12 @@ def _search_column(tiles: Sequence[TileType], side: str,
 # ---------------------------------------------------------------------------
 # The machine-run formula
 
-def _balanced_conj(formulas: Sequence[Formula]) -> Formula:
-    """Conjunction nested as a balanced tree; keeps recursion depth
-    logarithmic for the large generated formulas."""
-    if not formulas:
-        raise GadgetError("empty conjunction")
-    if len(formulas) == 1:
-        return formulas[0]
-    mid = len(formulas) // 2
-    return And(_balanced_conj(formulas[:mid]), _balanced_conj(formulas[mid:]))
-
-
 def _b_vars():
     return [Var(f"B{l}") for l in range(3)]
 
 
 def _tile_var(k: int, i: int) -> Var:
     return Var(f"T{k}_{i}")
-
-
-def _sum_terms(terms: Sequence[Term]) -> Term:
-    out = terms[0]
-    for t in terms[1:]:
-        out = Sum(out, t)
-    return out
-
-
-def _prod_terms(terms: Sequence[Term]) -> Term:
-    out = terms[0]
-    for t in terms[1:]:
-        out = Prod(out, t)
-    return out
 
 
 def gen_tm_formula(m: TuringMachine, word: Sequence[str]) -> Formula:
@@ -297,11 +273,11 @@ def gen_tm_formula(m: TuringMachine, word: Sequence[str]) -> Formula:
     ks = range(len(tiles))
     out: List[Formula] = []
     # every depth-0 point carries exactly one direction colour
-    out.append(Eq(_sum_terms(B), One()))
+    out.append(Eq(reduce(Sum, B), One()))
     out.extend(Eq(Prod(B[l], B[(l + 1) % 3]), Zero()) for l in range(3))
     # and exactly one tile per tape row, vertically consistent
     for i in range(s):
-        out.append(Eq(_sum_terms([T[k][i] for k in ks]), One()))
+        out.append(Eq(reduce(Sum, [T[k][i] for k in ks]), One()))
     for i in range(s):
         for k1, k2 in itertools.combinations(ks, 2):
             out.append(Eq(Prod(T[k1][i], T[k2][i]), Zero()))
@@ -330,11 +306,11 @@ def gen_tm_formula(m: TuringMachine, word: Sequence[str]) -> Formula:
     # and some point writes the accepting configuration on the right
     start = _search_column(tiles, "left", initial_config(m, word))
     finish = _search_column(tiles, "right", accepting_config(m))
-    out.append(neq(_prod_terms([T[tiles.index(t)][i]
+    out.append(neq(reduce(Prod, [T[tiles.index(t)][i]
                                 for i, t in enumerate(start)]), Zero()))
-    out.append(neq(_prod_terms([T[tiles.index(t)][i]
+    out.append(neq(reduce(Prod, [T[tiles.index(t)][i]
                                 for i, t in enumerate(finish)]), Zero()))
-    return _balanced_conj(out)
+    return conj(out)
 
 
 def gen_tm_witness(m: TuringMachine, word: Sequence[str],
@@ -708,7 +684,7 @@ def computation_tree(m: AlternatingTM, word: Sequence[str],
 
 def _scaffold():
     s = [[Var(f"s{j}_{k}") for k in range(7)] for j in (0, 1)]
-    f = [_sum_terms(s[j][:6]) for j in (0, 1)]
+    f = [reduce(Sum, s[j][:6]) for j in (0, 1)]
     return s, f, Var("a")
 
 
@@ -759,7 +735,7 @@ def _tree_conjuncts(chi, psi, closure, init: List[Formula]) -> Formula:
                           Prod(s[j][0], marker)))
             out.append(Eq(Prod(s[j][2 * g.i], marker),
                           Prod(s[j][2 * g.i], _q_var(closure, g.arg))))
-    return _balanced_conj(out)
+    return conj(out)
 
 
 def gen_tree_formula(chi, psi) -> Formula:
@@ -906,7 +882,7 @@ def _coord_term(bits: Sequence[Var], n: int) -> Term:
     parts = []
     for j in range(len(bits), 0, -1):
         parts.append(bits[j - 1] if n >> (j - 1) & 1 else Compl(bits[j - 1]))
-    return _prod_terms(parts)
+    return reduce(Prod, parts)
 
 
 def gen_tiling_formula(tiles: Sequence[TileType], t0: int, d: int) -> Formula:
@@ -925,7 +901,7 @@ def gen_tiling_formula(tiles: Sequence[TileType], t0: int, d: int) -> Formula:
     top = 2 ** d - 1
     out: List[Formula] = []
     for triple in (H, V):
-        out.append(Eq(_sum_terms(triple), One()))
+        out.append(Eq(reduce(Sum, triple), One()))
         out.extend(Eq(Prod(triple[l], triple[(l + 1) % 3]), Zero())
                    for l in range(3))
     # binary counters: crossing a colour step increments the coordinate
@@ -944,13 +920,13 @@ def gen_tiling_formula(tiles: Sequence[TileType], t0: int, d: int) -> Formula:
                         Prod(Prod(Compl(bits[j]), Compl(bits[k])), triple[l]),
                         Prod(bits[j], triple[l2])))))
             for k in range(1, d):
-                low = _prod_terms([Compl(bits[k])] + [bits[i] for i in range(k)])
+                low = reduce(Prod, [Compl(bits[k])] + [bits[i] for i in range(k)])
                 out.append(Not(Contact((Prod(low, triple[l]),
                                         Prod(Compl(bits[k]), triple[l2])))))
                 for i in range(k):
                     out.append(Not(Contact((Prod(low, triple[l]),
                                             Prod(bits[i], triple[l2])))))
-            out.append(Not(Contact((Prod(_prod_terms(list(bits)), triple[l]),
+            out.append(Not(Contact((Prod(reduce(Prod, list(bits)), triple[l]),
                                     triple[l2]))))
     out.append(Not(Contact((Prod(Prod(G, X[0]), Y[0]),
                             Prod(Prod(G, Compl(X[0])), Compl(Y[0]))))))
@@ -970,7 +946,7 @@ def gen_tiling_formula(tiles: Sequence[TileType], t0: int, d: int) -> Formula:
     # one component per occupied chessboard coordinate: half the grid
     out.append(ConnLe(2 ** (2 * d - 1), black))
     out.append(ConnLe(2 ** (2 * d - 1), white))
-    out.append(Eq(_sum_terms(T), G))
+    out.append(Eq(reduce(Sum, T), G))
     for k1, k2 in itertools.combinations(range(len(tiles)), 2):
         out.append(Eq(Prod(T[k1], T[k2]), Zero()))
     for l in range(3):
@@ -988,7 +964,7 @@ def gen_tiling_formula(tiles: Sequence[TileType], t0: int, d: int) -> Formula:
                     out.append(Not(Contact((Prod(V[l], T[k1]),
                                             Prod(V[(l + 1) % 3], T[k2])))))
     out.append(leq(Prod(_coord_term(X, 0), _coord_term(Y, 0)), T[t0]))
-    return _balanced_conj(out)
+    return conj(out)
 
 
 def gen_tiling_witness(tiles: Sequence[TileType],

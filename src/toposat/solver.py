@@ -732,9 +732,11 @@ def _fork_partitions(n: int) -> Iterator[List[int]]:
 
 class _SawCtx:
     """Precomputed per-frame search state. Valuations range over `unit`:
-    the teeth, or every point when `whole` (the power-set classes)."""
+    the teeth, or every point when `whole` (the power-set classes).
+    `forks` marks a disjoint union of forks (`_fork_partitions`)."""
 
-    def __init__(self, saw: QuasiSawFrame, whole: bool):
+    def __init__(self, saw: QuasiSawFrame, whole: bool, forks: bool = False):
+        self.forks = forks
         self.teeth = sorted(saw.depth0)
         self.hubs = sorted(saw.depth1)
         self.p = len(self.teeth)
@@ -915,11 +917,14 @@ class _Prep:
 
 def _place_teeth(ctx: _SawCtx, prep: _Prep, counters: Dict,
                  fits: Callable, done: Callable):
-    """Admissible depth-0 types for the teeth in order, each type once
-    when no conn atom occurs; a tooth with the same hubs as the one
-    before takes a later type, or the same one when both are isolated or
-    the sets are arbitrary (a set holding both teeth but not their hub
-    has two components).
+    """Admissible depth-0 types for the teeth in order; a tooth with the
+    same hubs as the one before takes a later type, or the same one when
+    both are isolated or the sets are arbitrary (a set holding both teeth
+    but not their hub has two components). When no conn atom occurs,
+    each type is taken once on a canonical quasi-saw, where two teeth of
+    one type merge into one under the union of their hubs; on a union of
+    forks (`ctx.forks`) no such merge exists across forks, so a type may
+    recur in different forks.
     The search keeps one list of running supports per tooth: `rows[i]`
     holds, over the teeth before tooth i, the support of each variable
     and then of each conn bound's term (`prep.marks`), and each row is
@@ -929,7 +934,8 @@ def _place_teeth(ctx: _SawCtx, prep: _Prep, counters: Dict,
     None to go on."""
     p = ctx.p
     admissible = prep.admissible_types()
-    if p and not admissible or prep.conn_free and p > len(admissible):
+    once = prep.conn_free and not ctx.forks
+    if p and not admissible or once and p > len(admissible):
         return None
     rank = {m: i for i, m in enumerate(admissible)}
     marks = prep.marks
@@ -949,7 +955,7 @@ def _place_teeth(ctx: _SawCtx, prep: _Prep, counters: Dict,
                 lo += 1
         row, bit = rows[i], 1 << i
         for m in admissible[lo:]:
-            if prep.conn_free and m in used:
+            if once and m in used:
                 continue
             types[i] = m
             if not fits(types, i, row):
@@ -1294,7 +1300,8 @@ def _frames_at(n: int, frame_class: str, prep: _Prep
     contexts are never mutated, so runs and their certificates share
     them."""
     whole = frame_class not in RC_CLASSES
-    if frame_class == "regc" and prep.conn_free:
+    forks = frame_class == "regc" and prep.conn_free
+    if forks:
         key = (n, frame_class, "forks")
         frames = lambda: map(make_fork_frame, _fork_partitions(n))
     else:
@@ -1307,7 +1314,8 @@ def _frames_at(n: int, frame_class: str, prep: _Prep
     listing = _FRAMES.get(key)
     if listing is None:
         listing = _FRAMES[key] = _Listing(
-            lambda: ((frame, _SawCtx(frame, whole)) for frame in frames()))
+            lambda: ((frame, _SawCtx(frame, whole, forks))
+                     for frame in frames()))
     yield from listing
 
 

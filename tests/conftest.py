@@ -76,12 +76,19 @@ def rand_c_conjunction(rng: random.Random, names: Sequence[str],
                    for _ in range(rng.randint(1, max_atoms))])
 
 
-def balanced_conj(formulas: Sequence[F.Formula]) -> F.Formula:
-    """Conjunction as a balanced tree, so that its depth is logarithmic."""
-    if len(formulas) == 1:
-        return formulas[0]
-    mid = len(formulas) // 2
-    return F.And(balanced_conj(formulas[:mid]), balanced_conj(formulas[mid:]))
+def rand_contact_pattern(rng: random.Random, names: Sequence[str]) -> F.Formula:
+    """A conjunction that puts each pair of variables in contact or out
+    of it, makes some pairs disjoint and some variables nonzero. Its
+    models often need teeth of one type in several forks."""
+    lits: List[F.Formula] = []
+    for i, x in enumerate(names):
+        for y in names[i + 1:]:
+            contact = Contact((Var(x), Var(y)))
+            lits.append(contact if rng.random() < 0.5 else Not(contact))
+            if rng.random() < 0.5:
+                lits.append(Eq(Prod(Var(x), Var(y)), Zero()))
+    lits += [Not(Eq(Var(x), Zero())) for x in names if rng.random() < 0.5]
+    return F.conj(lits)
 
 
 def rand_bc_formula(rng: random.Random, names: Sequence[str],

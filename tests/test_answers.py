@@ -13,9 +13,9 @@ space and a saturated fence sweep. No call carries a time budget, since
 where a budgeted run stops depends on the clock.
 
 Two known faults are kept out, so that the digests pin no wrong
-answer: `sat_bounded` over regc on formulas without conn, and relations
-that read interiors (TPP, NTPP and their inverses) on the fork route
-over conregc.
+answer: relations that read interiors (TPP, NTPP and their inverses) on
+the fork route over conregc, and `sat_bounded` over regc on formulas
+without conn below their fork bound, where it lists no lone teeth.
 
 When answers change on purpose, write the file again with
 
@@ -33,7 +33,8 @@ from toposat import formula as F
 from toposat import gadgets
 from toposat.formula import Eq, Not, Var, Zero, parse
 from toposat.frames import model_to_json
-from toposat.solver import SolverError, forks_decide, sat_bounded, sat_forks, solve
+from toposat.solver import (SolverError, fork_bound, forks_decide, sat_bounded,
+                            sat_forks, solve)
 
 ANSWERS = Path(__file__).resolve().parent / "answers.json"
 
@@ -91,6 +92,9 @@ _NAMED = [
      "EC(a, b) & EC(a, c) & EC(a, d) & DC(b, c) & DC(b, d) & DC(c, d)",
      "fence", 7),
     ("forks/conregc", sat_forks, "a != 0 & b != 0 & a * b = 0", "conregc", None),
+    # at its fork bound; its models need one tooth type in two forks
+    ("forks-bound/regc", sat_bounded, "C(a, b) & !C(a, c) & C(b, c) & "
+     "a * b = 0 & b * c = 0 & a != 0 & c != 0", "regc", 17),
 ]
 
 
@@ -125,7 +129,7 @@ def _rand_b_formula(rng, names):
 def _seeded_calls():
     """Random formulas from the shared generators and from
     `test_solver`'s, each run on the routes that take it."""
-    from conftest import rand_c_conjunction, rand_conn_formula
+    from conftest import rand_c_conjunction, rand_conn_formula, rand_contact_pattern
     from test_solver import _rand_rc_formula, _rand_set_formula
     rng = random.Random(20261019)
     for i in range(30):
@@ -135,6 +139,8 @@ def _seeded_calls():
         yield f"c/{i}/solve-conregc", functools.partial(solve, f, "conregc", 4)
         yield f"c/{i}/bounded-conregc", functools.partial(
             sat_bounded, f, "conregc", 4)
+        yield f"c/{i}/bounded-regc", functools.partial(
+            sat_bounded, f, "regc", fork_bound(f))
     for i in range(30):
         f = _rand_b_formula(rng, ["a", "b", "c"])
         yield f"b/{i}/forks-conregc", functools.partial(sat_forks, f, "conregc")
@@ -170,6 +176,11 @@ def _seeded_calls():
                 solve, f, frame_class, 3)
             yield f"set/{i}/bounded-{frame_class}", functools.partial(
                 sat_bounded, f, frame_class, 3)
+    for i in range(40):
+        f = rand_contact_pattern(rng, ["a", "b", "c"])
+        yield f"pattern/{i}/forks-regc", functools.partial(sat_forks, f, "regc")
+        yield f"pattern/{i}/bounded-regc", functools.partial(
+            sat_bounded, f, "regc", fork_bound(f))
 
 
 @functools.lru_cache(maxsize=None)

@@ -197,6 +197,57 @@ def test_python_dash_m_runs_the_cli(flat_conjunctions):
     assert (done.returncode, done.stdout, done.stderr) == (0, "TRUE\n", "")
 
 
+@pytest.fixture(scope="module")
+def flat_laws(tmp_path_factory):
+    """For 1200 and 10000 literals: a formula file writing their
+    conjunction flat, each literal a law over the one variable a, so
+    that the bounded routes list few types."""
+    laws = ["a = a", "a * -a = 0", "a + -a = 1", "(C(a, 1) | a = 0)"]
+    tmp_path = tmp_path_factory.mktemp("laws")
+    return {n: write(tmp_path, f"laws{n}.formula",
+                     " & ".join(laws[i % 4] for i in range(n)) + "\n")
+            for n in (1200, 10000)}
+
+
+@pytest.mark.parametrize("count", [1200, 10000])
+@pytest.mark.parametrize("frame_class, valid", [("regc", (20, "VALID")),
+                                                ("conregc", (20, "VALID")),
+                                                ("fence", (30, "VALID_WITHIN_BOUND"))])
+def test_sat_and_valid_on_a_flat_conjunction(capsys, monkeypatch, flat_laws,
+                                             count, frame_class, valid):
+    for command, want in (("sat", (10, "SAT")), ("valid", valid)):
+        code, out, err = run(capsys, monkeypatch, [
+            command, "--frame", frame_class, "--deterministic", flat_laws[count]])
+        assert (code, out.split()[0], err) == (*want, "")
+
+
+@pytest.mark.parametrize("count", [1200, 10000])
+@pytest.mark.parametrize("target", ["nnf", "rcc8", "dagger"])
+def test_translate_a_flat_conjunction(capsys, monkeypatch, flat_laws, count,
+                                      target):
+    from toposat import formula as F
+    code, out, err = run(capsys, monkeypatch,
+                         ["translate", "--to", target, flat_laws[count]])
+    assert (code, err) == (0, "")
+    assert len(F.operands(F.parse(out), F.And)) >= count
+
+
+def test_flat_conjunction_end_to_end(flat_laws):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+    import toposat
+    env = {**os.environ, "PYTHONPATH": str(Path(toposat.__file__).parents[1])}
+    for argv, code in ((["sat"], 10), (["valid"], 20),
+                       (["translate", "--to", "nnf"], 0)):
+        done = subprocess.run([sys.executable, "-m", "toposat", *argv,
+                               flat_laws[1200]], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert (done.returncode, done.stderr) == (code, "")
+        assert done.stdout
+
+
 def test_sat_refutes_a_unit_conflict_end_to_end(tmp_path):
     # the rejecting machine's formula holds a conjunct and its negation
     import os

@@ -61,8 +61,78 @@ def test_conj_disj():
     parts = [Eq(Var("a"), Zero()), Eq(Var("b"), Zero()), Eq(Var("c"), Zero())]
     assert conj(parts) == And(parts[0], And(parts[1], parts[2]))
     assert disj(parts) == Or(parts[0], Or(parts[1], parts[2]))
+    # balanced, split at the middle; a part that is a chain is spliced in
+    d = Eq(Var("d"), Zero())
+    balanced = And(And(parts[0], parts[1]), And(parts[2], d))
+    assert conj(parts + [d]) == balanced
+    assert conj([And(parts[0], parts[1]), And(parts[2], d)]) == balanced
+    assert conj([parts[0], And(parts[1], And(parts[2], d))]) == balanced
+    assert conj([Or(parts[0], parts[1]), d]) == And(Or(parts[0], parts[1]), d)
     with pytest.raises(FormulaError):
         conj([])
+    with pytest.raises(FormulaError):
+        disj([])
+
+
+def _chain_depth(f):
+    """How deep And and Or nodes nest in f."""
+    deepest, stack = 0, [(f, 0)]
+    while stack:
+        g, depth = stack.pop()
+        if isinstance(g, (And, Or)):
+            stack += [(g.left, depth + 1), (g.right, depth + 1)]
+        deepest = max(deepest, depth)
+    return deepest
+
+
+@pytest.mark.parametrize("op", ["&", "|"])
+def test_parsed_chain_nests_logarithmically(op):
+    import math
+    for n in (1, 2, 3, 5, 8, 100, 1000, 10000):
+        f = parse(f" {op} ".join(f"x{i} = 0" for i in range(n)))
+        assert _chain_depth(f) <= math.ceil(math.log2(n))
+        assert len(F.operands(f, And if op == "&" else Or)) == n
+
+
+def test_chain_groupings_parse_to_one_object():
+    groupings = ["a = 0 & b = 0 & c = 0", "(a = 0 & b = 0) & c = 0",
+                 "a = 0 & (b = 0 & c = 0)"]
+    f = parse(groupings[0])
+    for text in groupings:
+        assert parse(text) == f
+        assert print_formula(parse(text)) == groupings[0]
+    # within one parse, the three are one object
+    g = parse(" | ".join(f"({text})" for text in groupings))
+    assert g.left is g.right.left is g.right.right
+    assert print_formula(g) == " | ".join([groupings[0]] * 3)
+    # a chain built by hand prints flat however it nests
+    a, b, c = (Eq(Var(v), Zero()) for v in "abc")
+    assert print_formula(Or(Or(a, b), c)) == "a = 0 | b = 0 | c = 0"
+    assert print_formula(And(a, Or(b, c))) == "a = 0 & (b = 0 | c = 0)"
+
+
+def _rand_chain_part(rng, depth):
+    atom = rng.choice([Eq(Var("a"), Zero()), Eq(Prod(Var("a"), Var("b")), One()),
+                       Contact((Var("a"), Compl(Var("b")))), Conn(Var("c")),
+                       F.Rcc8("EC", Var("b"), Var("c"))])
+    if depth == 0 or rng.random() < 0.3:
+        return atom if rng.random() < 0.5 else Not(atom)
+    kind = rng.choice(["and", "or", "imp", "not"])
+    if kind == "not":
+        return Not(_rand_chain_part(rng, depth - 1))
+    if kind == "imp":
+        return Implies(_rand_chain_part(rng, depth - 1),
+                       _rand_chain_part(rng, depth - 1))
+    return (conj if kind == "and" else disj)(
+        [_rand_chain_part(rng, depth - 1) for _ in range(rng.randint(1, 4))])
+
+
+def test_chains_print_flat_and_parse_back(rng):
+    for n in range(1, 18):
+        for build in (conj, disj):
+            for _ in range(20):
+                f = build([_rand_chain_part(rng, 3) for _ in range(n)])
+                assert parse(print_formula(f)) == f, print_formula(f)
 
 
 def test_keywords_not_variables():
@@ -243,11 +313,10 @@ def test_literal_sets_match_brute_force(rng):
 
 
 def test_literal_sets_prune_without_recursion():
-    from conftest import balanced_conj
     # 2000 letters: a conjunction leaves one assignment, found by walking
     # one branch, and the search keeps no stack frame per letter
     atoms = [Eq(Var(f"x{i}"), Zero()) for i in range(2000)]
-    skeleton, table = F.propositional_skeleton(balanced_conj(atoms))
+    skeleton, table = F.propositional_skeleton(conj(atoms))
     assert list(F.literal_sets(skeleton, table)) == [frozenset(table)]
 
 

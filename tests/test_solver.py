@@ -282,12 +282,24 @@ def test_every_route_leaves_through_one_exit(run, text, frame_class, bound,
 
 
 def test_forks_agree_with_bounded(rng):
-    from conftest import rand_c_conjunction
-    for _ in range(60):
-        f = rand_c_conjunction(rng, ["a", "b"], max_atoms=2)
+    """At the fork bound the bounded search over regc agrees with the
+    fork route. Without conn it lists disjoint unions of forks, where
+    two teeth of one type in different forks never merge, so a type
+    must be free to recur there; `rand_contact_pattern`'s models often
+    need that."""
+    from conftest import rand_c_conjunction, rand_contact_pattern
+    f = parse("C(a, b) & !C(a, c) & C(b, c) & a * b = 0 & b * c = 0 "
+              "& a != 0 & c != 0")
+    r = sat_bounded(f, "regc", fork_bound(f))
+    assert (fork_bound(f), r.status, r.bound_used) == (17, "SAT", 6)
+    assert check_certificate(r.certificate, f)
+    formulas = ([rand_c_conjunction(rng, ["a", "b"], max_atoms=2)
+                 for _ in range(60)]
+                + [rand_contact_pattern(rng, ["a", "b", "c"]) for _ in range(200)])
+    for f in formulas:
         quick = sat_forks(f)
         slow = sat_bounded(f, "regc", fork_bound(f))
-        assert (quick.status == "SAT") == (slow.status == "SAT")
+        assert (quick.status == "SAT") == (slow.status == "SAT"), F.print_formula(f)
         assert slow.status in ("SAT", "UNSAT")
 
 
@@ -584,7 +596,7 @@ def test_fork_route_contact_ladder_scales():
 
 
 def test_fork_route_thousand_literals(rng):
-    from conftest import balanced_conj, rand_b_term, rand_rc_model
+    from conftest import rand_b_term, rand_rc_model
     names = ["a", "b", "c", "d"]
     model = rand_rc_model(rng, names)
     literals = {}
@@ -595,7 +607,7 @@ def test_fork_route_thousand_literals(rng):
             atom = Contact((rand_b_term(rng, names, 3),
                             rand_b_term(rng, names, 3)))
         literals[atom if holds(model, atom).truth else Not(atom)] = None
-    r = solve(balanced_conj(list(literals)), "regc")
+    r = solve(F.conj(literals), "regc")
     assert r.status == "SAT" and r.method == "forks"
 
 
