@@ -1,4 +1,5 @@
-"""AST, parser, printer and classification for region terms and formulas.
+"""AST, parser, printer, classification and Boolean skeleton for region
+terms and formulas.
 
 Two term families share one grammar: the regular-closed algebra
 (Sum/Prod/Compl, written + * -) and raw set operators
@@ -7,8 +8,8 @@ Mixing the two families inside one formula is rejected.
 """
 
 import re
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple, Union as TyUnion
+from dataclasses import dataclass
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 
 class FormulaError(Exception):
@@ -422,85 +423,56 @@ def language(f: Formula) -> Tuple[str, Optional[str]]:
 
 
 # ---------------------------------------------------------------------------
-# Propositional skeleton
-
-PropFormula = TyUnion[int, tuple]
-# int n > 0: letter n; ("not", g) | ("and", g, h) | ("or", g, h) | ("imp", g, h)
-
-
-def propositional_skeleton(f: Formula) -> Tuple[PropFormula, Dict[int, Formula]]:
-    """Replace each atom by a propositional letter (structurally deduplicated)."""
-    table: Dict[int, Formula] = {}
-    index: Dict[Formula, int] = {}
-
-    def walk(g):
-        if isinstance(g, ATOM_CLASSES):
-            if g not in index:
-                index[g] = len(index) + 1
-                table[index[g]] = g
-            return index[g]
-        if isinstance(g, Not):
-            return ("not", walk(g.arg))
-        if isinstance(g, And):
-            return ("and", walk(g.left), walk(g.right))
-        if isinstance(g, Or):
-            return ("or", walk(g.left), walk(g.right))
-        if isinstance(g, Implies):
-            return ("imp", walk(g.left), walk(g.right))
-        raise FormulaError(f"not a formula: {g!r}")
-
-    return walk(f), table
-
-
-def eval_prop(p: PropFormula, assignment: Dict[int, bool]) -> bool:
-    if isinstance(p, int):
-        return assignment[p]
-    op = p[0]
-    if op == "not":
-        return not eval_prop(p[1], assignment)
-    if op == "and":
-        return eval_prop(p[1], assignment) and eval_prop(p[2], assignment)
-    if op == "or":
-        return eval_prop(p[1], assignment) or eval_prop(p[2], assignment)
-    return (not eval_prop(p[1], assignment)) or eval_prop(p[2], assignment)
-
+# Boolean skeleton
 
 class _ThreeValued:
-    """A skeleton flattened into nodes whose Kleene values are refined
-    upwards from each assigned letter and restored through a trail."""
+    """The Boolean skeleton of a formula, read off it in one pass with an
+    explicit stack: one node per occurrence of a connective or atom, in
+    left-to-right preorder, so a node's first operand is the node after
+    it. Structurally equal atoms are one letter, and `letters` holds the
+    atoms by first occurrence. Kleene values are refined upwards from
+    each assigned letter and restored through a trail."""
 
-    def __init__(self, p: PropFormula):
-        self.op: List[str] = []
-        self.args: List[List[int]] = []
+    def __init__(self, f: Formula):
+        self.op: List[Optional[type]] = []
         self.parent: List[int] = []
-        self.leaves: Dict[int, List[int]] = {}
-        stack = [(p, -1)]
+        self.second: List[int] = []     # a binary node's second operand
+        leaves: Dict[Formula, List[int]] = {}
+        stack = [(f, -1)]
         while stack:
             g, parent = stack.pop()
             k = len(self.op)
             self.parent.append(parent)
-            self.args.append([])
-            if parent >= 0:
-                self.args[parent].append(k)
-            if isinstance(g, int):
-                self.op.append("letter")
-                self.leaves.setdefault(g, []).append(k)
+            self.second.append(-1)
+            if parent >= 0 and k != parent + 1:
+                self.second[parent] = k
+            if isinstance(g, ATOM_CLASSES):
+                self.op.append(None)
+                leaves.setdefault(g, []).append(k)
+            elif isinstance(g, Not):
+                self.op.append(Not)
+                stack.append((g.arg, k))
+            elif isinstance(g, (And, Or, Implies)):
+                self.op.append(type(g))
+                stack.append((g.right, k))
+                stack.append((g.left, k))
             else:
-                self.op.append(g[0])
-                stack.extend((child, k) for child in reversed(g[1:]))
+                raise FormulaError(f"not a formula: {g!r}")
+        self.letters = list(leaves)
+        self.leaves = list(leaves.values())     # per letter, its nodes
         self.value: List[Optional[bool]] = [None] * len(self.op)
         self.trail: List[int] = []
 
     def _eval(self, k: int) -> Optional[bool]:
-        op, args, value = self.op[k], self.args[k], self.value
-        a = value[args[0]]
-        if op == "not":
+        op, value = self.op[k], self.value
+        a = value[k + 1]
+        if op is Not:
             return None if a is None else not a
-        b = value[args[1]]
-        if op == "imp":
+        b = value[self.second[k]]
+        if op is Implies:
             a = None if a is None else not a
-            op = "or"
-        if op == "and":
+            op = Or
+        if op is And:
             if a is False or b is False:
                 return False
             return True if (a is True and b is True) else None
@@ -529,23 +501,24 @@ class _ThreeValued:
             self.value[self.trail.pop()] = None
 
 
-def literal_sets(p: PropFormula, table: Dict[int, Formula]) -> Iterator[FrozenSet[int]]:
-    """Satisfying complete assignments as sets of signed letters, in the
-    order of a binary count whose most significant bit is the highest
-    letter. A depth-first search assigns letters from the highest down,
-    False before True, and cuts a branch as soon as the three-valued
-    value of the skeleton is False; `eval_prop` over every assignment
-    gives the same sequence."""
-    letters = sorted(table)
+def literal_sets(f: Formula) -> Iterator[Tuple[Tuple[Formula, bool], ...]]:
+    """The satisfying assignments of f's Boolean skeleton (`_ThreeValued`),
+    each as its (atom, truth) pairs in the order of the atoms' first
+    occurrence, and the assignments in the order of a binary count whose
+    most significant bit is the last atom. A depth-first search assigns
+    the atoms from the last down, False before True, and cuts a branch as
+    soon as the three-valued value of f is False; evaluating f under
+    every assignment gives the same sequence."""
+    skeleton = _ThreeValued(f)
+    letters = skeleton.letters
     n = len(letters)
-    skeleton = _ThreeValued(p)
     truth = [False] * n
     tried = [0] * n      # values tried at each letter: none, False, both
     marks = [0] * n
     i = n - 1
     while i < n:
         if i < 0:
-            yield frozenset(l if t else -l for l, t in zip(letters, truth))
+            yield tuple(zip(letters, truth))
             i = 0
             continue
         if tried[i] == 2:
@@ -559,7 +532,7 @@ def literal_sets(p: PropFormula, table: Dict[int, Formula]) -> Iterator[FrozenSe
             marks[i] = len(skeleton.trail)
         truth[i] = tried[i] == 1
         tried[i] += 1
-        skeleton.assign(letters[i], truth[i])
+        skeleton.assign(i, truth[i])
         if skeleton.value[0] is not False:
             i -= 1
 

@@ -2,9 +2,10 @@
 
 Two routes; `forks_decide` says which one a language takes. `sat_forks`
 is the complete NP procedure for contact languages without
-connectedness predicates: a pruned search over the propositional
-skeleton yields satisfying literal sets, and each existential literal
-is realized on its own fork, whose tooth types a bit-level search finds
+connectedness predicates: a pruned search over the formula's Boolean
+skeleton (`formula.literal_sets`) yields satisfying literal sets, as
+atoms with their truth values, and each existential literal is
+realized on its own fork, whose tooth types a bit-level search finds
 on demand among those the universal literals admit. `sat_bounded`
 searches canonical quasi-saws one size at a time, with depth-0 supports
 driving the valuations, and fences by one left-to-right sweep over
@@ -531,14 +532,15 @@ def forks_decide(tag: str, frame_class: str) -> bool:
 
 def theoretical_bound(f: Formula, frame_class: str) -> Optional[int]:
     """Finite-model size bound justifying a complete refutation, when known."""
-    return _theoretical_bound(f, frame_class, F.classify(f))
+    return _theoretical_bound(rcc8_to_c(f), frame_class, F.classify(f))
 
 
-def _theoretical_bound(f: Formula, frame_class: str, tag: str) -> Optional[int]:
-    """The fork bound where the fork procedure decides; no bound is proven
-    for connectedness atoms, set operators or fences."""
+def _theoretical_bound(c: Formula, frame_class: str, tag: str) -> Optional[int]:
+    """`theoretical_bound` of c, a formula without relation atoms whose
+    language is `tag`: the fork bound where the fork procedure decides;
+    no bound is proven for connectedness atoms, set operators or fences."""
     if forks_decide(tag, frame_class):
-        return fork_bound(f) + (frame_class == "conregc")
+        return _fork_bound(c) + (frame_class == "conregc")
     return None
 
 
@@ -564,7 +566,7 @@ def _sat_forks(f: Formula, frame_class: str, tag: str, family: Optional[str],
     aborted UNSAT_WITHIN_BOUND at bound 0. The relation atoms are written
     as contacts once, for the search and for the theoretical bound."""
     c = rcc8_to_c(f)
-    tb = _fork_bound(c) + (frame_class == "conregc")
+    tb = _theoretical_bound(c, frame_class, tag)
     try:
         g = eq_normalize(c, family)
         _check_clock(deadline)
@@ -582,11 +584,11 @@ def _sat_forks(f: Formula, frame_class: str, tag: str, family: Optional[str],
     types = [m for teeth in fork_teeth for m in teeth]
     masks = [sum(1 << i for i, m in enumerate(types) if m >> k & 1)
              for k in range(len(variables))]
-    model = _model(frame, points, masks, variables, "regc")
     if frame_class == "conregc" and not frame.is_connected():
-        model = connectify(model, "b" if tag == "B" else "rcc8")
-    elif frame_class == "conregc":
-        model = Model(frame, model.valuation, "conregc")
+        model = connectify(_model(frame, points, masks, variables, "regc"),
+                           "b" if tag == "B" else "rcc8")
+    else:
+        model = _model(frame, points, masks, variables, frame_class)
     return _result(f, start, SAT, "forks", tb, {"nodes": nodes}, model=model)
 
 
@@ -594,23 +596,22 @@ def _fork_teeth(g: Formula, point: _Terms, deadline: Optional[float]
                 ) -> Tuple[Optional[List[List[int]]], int]:
     """The fork search over g, a Boolean combination of equations `t = 0`
     and contacts, whose variables `point` indexes. It walks the literal
-    sets of g's skeleton and realizes each existential literal of one on
-    its own fork, with tooth types the universal literals admit. Returns
-    the teeth of each fork of the first literal set realized, nonzeros
-    first, or None when none is, which refutes g over regc; and the
-    nodes searched. Past `deadline` it raises `_Timeout`: the clock is
-    read once per literal set and in the type search."""
-    skeleton, table = F.propositional_skeleton(g)
+    sets of g (`formula.literal_sets`), atoms by first occurrence, and
+    realizes each existential literal of one on its own fork, with tooth
+    types the universal literals admit. Returns the teeth of each fork
+    of the first literal set realized, nonzeros first, or None when none
+    is, which refutes g over regc; and the nodes searched. Past
+    `deadline` it raises `_Timeout`: the clock is read once per literal
+    set and in the type search."""
     nodes = 0
-    for literals in F.literal_sets(skeleton, table):
+    for literals in F.literal_sets(g):
         _check_clock(deadline)
         zeros, nonzeros, contacts, ncontacts = [], [], [], []
-        for lit in sorted(literals, key=abs):
-            atom = table[abs(lit)]
+        for atom, truth in literals:
             if isinstance(atom, Eq):
-                (zeros if lit > 0 else nonzeros).append(atom.left)
+                (zeros if truth else nonzeros).append(atom.left)
             elif isinstance(atom, Contact):
-                (contacts if lit > 0 else ncontacts).append(atom.terms)
+                (contacts if truth else ncontacts).append(atom.terms)
             else:
                 raise SolverError(f"unexpected atom {atom!r}")
 
@@ -815,12 +816,13 @@ def _cheap_set(goal: Callable, masks: List[int], ctx: _SawCtx) -> bool:
 
 
 class _Prep:
-    """Formula preprocessed for the bounded search: the normalized goal
-    (`normal`), filters read off its top-level conjuncts, and the goal
-    the quasi-saw leaves read (`goal`), compiled on first use. Its
-    variables range over arbitrary sets when `whole`, over regular closed
-    sets otherwise; only the latter take relation and contact atoms.
-    `tag` and `family` are what `formula.language` gives f.
+    """Formula c, without relation atoms (`rcc8_to_c`), preprocessed for
+    the bounded search: the normalized goal (`normal`), filters read off
+    its top-level conjuncts, and the goal the quasi-saw leaves read
+    (`goal`), compiled on first use. Its variables range over arbitrary
+    sets when `whole`, over regular closed sets otherwise; only the
+    latter take contact atoms. `tag` and `family` are what
+    `formula.language` gives the formula c was translated from.
 
     The searches keep three kinds of top-level conjunct true at every
     leaf, so `goal` reads only the others (`rest`), as a flat tuple of
@@ -845,15 +847,14 @@ class _Prep:
     empty `_SawCtx` decides the empty space. Past `deadline` the
     rewrites, the conjunct loop and the type listing raise `_Timeout`."""
 
-    def __init__(self, f: Formula, tag: str, family: Optional[str],
+    def __init__(self, c: Formula, tag: str, family: Optional[str],
                  whole: bool, deadline: Optional[float]):
         self.deadline = deadline
-        c = f if whole else rcc8_to_c(f)
         _check_clock(deadline)
-        c = eq_normalize(c, family)
+        g = eq_normalize(c, family)
         _check_clock(deadline)
-        self.normal = nnf(c)
-        self.variables = sorted(F.variables(f))
+        self.normal = nnf(g)
+        self.variables = sorted(F.variables(c))
         self.var_index = {v: i for i, v in enumerate(self.variables)}
         self.point = _Terms(self.var_index)
         self.masks = masks = _MaskTerms(self.var_index)
@@ -1363,15 +1364,21 @@ def _sat_bounded(f: Formula, frame_class: str, max_points: int,
                    f"regular-closed frame class")
     if problem is not None:
         raise SolverError(problem)
-    tb = _theoretical_bound(f, frame_class, tag)
     counters = {"nodes": 0, "frames": 0}
     if refute and _unit_conflict(f):
-        return _result(f, start, UNSAT, "units", tb, counters)
+        # solve sends the fork languages, the only ones with a bound, to
+        # the fork route, so the bound is None here
+        return _result(f, start, UNSAT, "units", None, counters)
+    # the relation atoms are written as contacts once, for the bound and
+    # the search
+    c = f if whole else rcc8_to_c(f)
+    tb = _theoretical_bound(c, frame_class, tag)
     deadline = None if time_budget is None else start + time_budget
     search = _search_set if whole else _search_rc
     n = 1       # the size searched: every smaller one is done
     try:
-        prep = _Prep(f, tag, family, whole, deadline)
+        prep = _Prep(c, tag, family, whole, deadline)
+        del c   # the search reads prep alone: free the translated copy
         if frame_class == "fence":     # a fence has at least one interval
             return _sweep_fence(f, prep, max_points, tb, start)
         # the empty space, where every conjunct the search enforces holds

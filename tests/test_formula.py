@@ -270,17 +270,40 @@ def test_variables_and_closure():
     assert F.variables(f) == {"r1", "r2", "r3"}
 
 
+def _eval_skeleton(g, truth):
+    """g's truth value when each atom takes the value the dict `truth`
+    gives it: the brute-force oracle for `literal_sets`."""
+    if isinstance(g, Not):
+        return not _eval_skeleton(g.arg, truth)
+    if isinstance(g, And):
+        return _eval_skeleton(g.left, truth) and _eval_skeleton(g.right, truth)
+    if isinstance(g, Or):
+        return _eval_skeleton(g.left, truth) or _eval_skeleton(g.right, truth)
+    if isinstance(g, Implies):
+        return not _eval_skeleton(g.left, truth) or _eval_skeleton(g.right, truth)
+    return truth[g]
+
+
+def _brute_literal_sets(f):
+    """Every assignment to f's distinct atoms, taken by first occurrence,
+    in binary-count order with the last atom most significant, kept
+    where f evaluates to true."""
+    atoms = list(dict.fromkeys(F.atoms(f)))
+    for mask in range(1 << len(atoms)):
+        truth = {a: bool(mask >> i & 1) for i, a in enumerate(atoms)}
+        if _eval_skeleton(f, truth):
+            yield tuple((a, truth[a]) for a in atoms)
+
+
 def test_propositional_skeleton_roundtrip():
     f = parse("a = 0 & (C(a, b) | !(b = 0))")
-    skeleton, table = F.propositional_skeleton(f)
-    assert set(table.values()) == {Eq(Var("a"), Zero()),
-                                   Contact((Var("a"), Var("b"))),
-                                   Eq(Var("b"), Zero())}
-    sets = list(F.literal_sets(skeleton, table))
+    sets = list(F.literal_sets(f))
     assert sets
     for literals in sets:
-        assignment = {abs(l): l > 0 for l in literals}
-        assert F.eval_prop(skeleton, assignment)
+        assert [a for a, _ in literals] == [Eq(Var("a"), Zero()),
+                                            Contact((Var("a"), Var("b"))),
+                                            Eq(Var("b"), Zero())]
+        assert _eval_skeleton(f, dict(literals))
 
 
 def _rand_prop_formula(rng, atoms, depth):
@@ -294,30 +317,48 @@ def _rand_prop_formula(rng, atoms, depth):
     return {"and": And, "or": Or, "imp": Implies}[op](left, right)
 
 
-def _brute_literal_sets(skeleton, table):
-    """Every assignment in binary-count order, kept where eval_prop holds."""
-    letters = sorted(table)
-    for mask in range(1 << len(letters)):
-        assignment = {l: bool(mask >> i & 1) for i, l in enumerate(letters)}
-        if F.eval_prop(skeleton, assignment):
-            yield frozenset(l if assignment[l] else -l for l in letters)
-
-
 def test_literal_sets_match_brute_force(rng):
     for _ in range(400):
         atoms = [Eq(Var(f"x{i}"), Zero()) for i in range(rng.randint(1, 7))]
         f = _rand_prop_formula(rng, atoms, rng.randint(0, 6))
-        skeleton, table = F.propositional_skeleton(f)
-        assert (list(F.literal_sets(skeleton, table))
-                == list(_brute_literal_sets(skeleton, table)))
+        assert list(F.literal_sets(f)) == list(_brute_literal_sets(f))
+
+
+def test_literal_sets_share_equal_atoms():
+    # two equal atoms that are distinct objects are one letter
+    first, second = Eq(Var("a"), Zero()), Eq(Var("a"), Zero())
+    contact = Contact((Var("a"), Var("b")))
+    assert first is not second and first == second
+    f = And(first, Or(second, contact))
+    assert list(F.literal_sets(f)) == [((first, True), (contact, False)),
+                                      ((first, True), (contact, True))]
+
+
+def test_literal_sets_pairs_follow_first_occurrence():
+    # b's atom comes first, under -> and !, though a sorts before it
+    a, b, c = (Eq(Var(v), Zero()) for v in "abc")
+    f = Implies(Not(Implies(b, Not(a))), Or(c, Not(b)))
+    sets = list(F.literal_sets(f))
+    assert sets == list(_brute_literal_sets(f))
+    assert {tuple(atom for atom, _ in literals) for literals in sets} == {(b, a, c)}
 
 
 def test_literal_sets_prune_without_recursion():
     # 2000 letters: a conjunction leaves one assignment, found by walking
     # one branch, and the search keeps no stack frame per letter
     atoms = [Eq(Var(f"x{i}"), Zero()) for i in range(2000)]
-    skeleton, table = F.propositional_skeleton(conj(atoms))
-    assert list(F.literal_sets(skeleton, table)) == [frozenset(table)]
+    assert list(F.literal_sets(conj(atoms))) == [
+        tuple((a, True) for a in atoms)]
+
+
+def test_literal_sets_of_a_deep_skeleton():
+    # !(g -> b) is g & !b, so 2,500 such layers, 5,000 levels of
+    # alternating ! and ->, leave the one literal set a, !b
+    a, b = Eq(Var("a"), Zero()), Eq(Var("b"), Zero())
+    f = a
+    for _ in range(2500):
+        f = Not(Implies(f, b))
+    assert list(F.literal_sets(f)) == [((a, True), (b, False))]
 
 
 def test_contact_arity_guard():

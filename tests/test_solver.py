@@ -17,6 +17,7 @@ from toposat.solver import (SolveResult, SolverError, _HubCheck, _Prep,
                             canonical_saws, check_certificate, fork_bound,
                             forks_decide, sat_bounded, sat_forks, solve,
                             theoretical_bound)
+from toposat.transform import rcc8_to_c
 
 
 def test_fork_bound():
@@ -45,14 +46,22 @@ def test_solve_reports_the_theoretical_bound():
     assert solve(parse("a = 0 & a != 0"), "conregc").theoretical_bound == 3
 
 
-def test_fork_route_translates_relations_once(rng, monkeypatch):
-    # one rcc8_to_c per fork solve, for the search and the bound alike,
-    # and the bound theoretical_bound gives
-    from toposat import gadgets, solver
-    translated = []
+@pytest.fixture
+def translated(monkeypatch):
+    """The formulas the solver hands to rcc8_to_c, in order."""
+    from toposat import solver
+    seen = []
     monkeypatch.setattr(solver, "rcc8_to_c",
                         lambda f, real=solver.rcc8_to_c:
-                        translated.append(f) or real(f))
+                        seen.append(f) or real(f))
+    return seen
+
+
+def test_fork_route_translates_relations_once(rng, translated):
+    # one rcc8_to_c per fork solve, and per bounded run on a fork
+    # language, for the search and the bound alike, and the bound
+    # theoretical_bound gives
+    from toposat import gadgets
     cases = [(e.formula, frame_class) for e in gadgets.corpus()
              for frame_class in ("regc", "conregc")
              if forks_decide(F.classify(e.formula), frame_class)]
@@ -68,6 +77,32 @@ def test_fork_route_translates_relations_once(rng, monkeypatch):
         assert r.method == "forks" and translated == [f]
         assert r.theoretical_bound == theoretical_bound(f, frame_class) == \
             fork_bound(f) + (frame_class == "conregc")
+    for f, frame_class in cases[:60]:
+        translated.clear()
+        r = sat_bounded(f, frame_class, 2)
+        assert translated == [f]
+        assert r.theoretical_bound == theoretical_bound(f, frame_class)
+    f = parse("EC(a, b) & a != 0")
+    translated.clear()
+    assert sat_bounded(f, "regc", 4).status == "SAT" and translated == [f]
+
+
+def test_bounded_route_translates_relations_at_most_once(translated):
+    # once over the regular-closed classes, never over the power-set
+    # classes, and not at all when a unit conflict ends the run
+    # (formula, frame class, calls in solve, calls in sat_bounded)
+    for text, frame_class, *counts in (
+            ("conn(a) & EC(a, b)", "regc", 1, 1),
+            ("conn(a) & EC(a, b)", "conregc", 1, 1),
+            ("conn(a) & EC(a, b)", "fence", 1, 1),
+            ("conn(a) & a != 1", "all", 0, 0),
+            ("conn(a) & a != 1", "con", 0, 0),
+            ("conn(a) & EC(a, b) & !EC(a, b)", "regc", 0, 1)):
+        f = parse(text)
+        for run, count in zip((solve, sat_bounded), counts):
+            translated.clear()
+            run(f, frame_class, 3)
+            assert len(translated) == count, (text, frame_class, run)
 
 
 def test_fork_route_honours_the_budget():
@@ -680,7 +715,7 @@ def test_rc_leaf_agrees_with_model_checker(rng):
         saw = rand_quasi_saw(rng)
         valuation = rand_rc_valuation(rng, saw, names)
         f = _rand_rc_formula(rng, names)
-        prep = _Prep(f, *F.language(f), False, None)
+        prep = _Prep(rcc8_to_c(f), *F.language(f), False, None)
         ctx = _SawCtx(saw, False)
         supports = [sum(1 << i for i, t in enumerate(ctx.teeth)
                         if t in valuation.get(v, ())) for v in prep.variables]
@@ -726,7 +761,7 @@ def _leaves_agree_with_model_checker(monkeypatch, frame_class, f, max_points):
     search = S._search_set if whole else S._search_rc
     real = _cheap_set if whole else _cheap_rc
     truths = set()
-    prep = _Prep(f, *F.language(f), whole, None)
+    prep = _Prep(f if whole else rcc8_to_c(f), *F.language(f), whole, None)
     for n in range(1, max_points + 1):
         for frame, ctx in S._frames_at(n, frame_class, prep):
             points = ctx.teeth + ctx.hubs if whole else ctx.teeth
@@ -862,7 +897,7 @@ def test_time_budget_read_while_preparing():
                 gadgets.gen_tiling_formula(gadgets.tiles_mismatched(), 0, 1)])
     tag, family = F.language(f)
     start = time.monotonic()
-    prep = _Prep(f, tag, family, False, None)
+    prep = _Prep(rcc8_to_c(f), tag, family, False, None)
     _ToothTypes(prep.point, prep.zero_terms, prep.ncontact_terms, None)
     preparing = time.monotonic() - start
     budget = 0.2
