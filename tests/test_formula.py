@@ -1,4 +1,18 @@
-"""Formula AST, parser, printer, and classification tests."""
+"""Formula AST, parser, printer, and classification tests.
+
+`parse_outcomes.json` pins what `parse` makes of 2,000 seeded texts
+(`_outcome_texts`): the first 16 hex digits of a SHA-256 over the repr
+of the formula, or over the type and message of the error it raises.
+When parse outcomes change on purpose, write the file again with
+
+    PYTHONPATH=src python tests/test_formula.py --write
+"""
+
+import hashlib
+import json
+import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -366,3 +380,135 @@ def test_contact_arity_guard():
         Contact((Var("a"),))
     with pytest.raises(FormulaError):
         ConnLe(0, Var("a"))
+
+
+PARSE_OUTCOMES = Path(__file__).resolve().parent / "parse_outcomes.json"
+
+_NAMES = ("a", "b", "x1", "v_2")
+_TERM_OPERATORS = {"rc": ("+", "*", "-"), "set": ("v", "^", "~")}
+
+
+def _rand_term_tokens(rng, family, depth):
+    """The tokens of a random term of `family`, which now and then
+    switches to the other family or writes a numeral other than 0 and 1."""
+    if rng.random() < 0.01:
+        family = "set" if family == "rc" else "rc"
+    if depth == 0 or rng.random() < 0.3:
+        if rng.random() < 0.8:
+            return [rng.choice(_NAMES)]
+        return [rng.choice(("0", "1") * 10 + ("2",))]
+    plus, times, compl = _TERM_OPERATORS[family]
+    kind = rng.randrange(5)
+    if kind == 0:
+        return [compl] + _rand_term_tokens(rng, family, depth - 1)
+    if kind == 1 and family == "set":
+        return [rng.choice(("int", "cl")), "("] + _rand_term_tokens(
+            rng, family, depth - 1) + [")"]
+    if kind == 1:
+        return ["("] + _rand_term_tokens(rng, family, depth - 1) + [")"]
+    left = _rand_term_tokens(rng, family, depth - 1)
+    right = _rand_term_tokens(rng, family, depth - 1)
+    return left + [plus if kind < 3 else times] + right
+
+
+def _rand_atom_tokens(rng, family):
+    def term():
+        return _rand_term_tokens(rng, family, 2)
+
+    kind = rng.randrange(8)
+    if family == "set" and kind in (3, 4) and rng.random() < 0.9:
+        kind = 5     # contacts and relations take no set terms
+    if kind < 3:
+        first = term()
+        if rng.random() < 0.4:   # a term in parentheses starts the literal
+            first = ["("] + first + [")"]
+            if rng.random() < 0.3:
+                first = first + [rng.choice(_TERM_OPERATORS[family][:2])] + term()
+        return first + [("=", "!=", "<=")[kind]] + term()
+    if kind == 3:
+        args = term()
+        for _ in range(rng.choice((0,) + (1,) * 8 + (2,) * 4)):
+            args += [","] + term()
+        return ["C", "("] + args + [")"]
+    if kind == 4:
+        return [rng.choice(F.RCC8_RELATIONS), "("] + term() + [","] + term() + [")"]
+    if kind == 5:
+        return ["conn", "("] + term() + [")"]
+    name = rng.choice(("conn_le", "conn_ge"))
+    k = rng.choice((0, 1, 2, 3, 4, 5) + (rng.randint(2, 400),) * 5)
+    return [name, "(", str(k), ","] + term() + [")"]
+
+
+def _rand_formula_tokens(rng, family, depth):
+    if depth == 0 or rng.random() < 0.35:
+        return _rand_atom_tokens(rng, family)
+    kind = rng.randrange(5)
+    if kind == 0:
+        return ["!"] + _rand_formula_tokens(rng, family, depth - 1)
+    if kind == 1:
+        return (rng.choice((["("], ["!", "("])) +
+                _rand_formula_tokens(rng, family, depth - 1) + [")"])
+    return (_rand_formula_tokens(rng, family, depth - 1) +
+            [rng.choice(("&", "|", "->"))] +
+            _rand_formula_tokens(rng, family, depth - 1))
+
+
+def _join_tokens(rng, tokens):
+    """The tokens as text, mostly one blank apart, now and then a
+    newline, a tab or nothing."""
+    out = []
+    for tok in tokens:
+        out.append(tok)
+        out.append(rng.choice((" ",) * 12 + ("\n", "\t", "", "\n\t  ")))
+    return "".join(out)
+
+
+def _corrupt(rng, tokens):
+    """The text of tokens with one token dropped, duplicated or swapped
+    with another, a stray character inserted, or the text truncated."""
+    tokens = list(tokens)
+    i = rng.randrange(len(tokens))
+    kind = rng.randrange(5)
+    if kind == 0:
+        del tokens[i]
+    elif kind == 1:
+        tokens.insert(i, tokens[i])
+    elif kind == 2:
+        j = rng.randrange(len(tokens))
+        tokens[i], tokens[j] = tokens[j], tokens[i]
+    elif kind == 3:
+        tokens.insert(i, rng.choice("$#²½(),=!"))
+    text = _join_tokens(rng, tokens)
+    return text[:rng.randrange(len(text) + 1)] if kind == 4 else text
+
+
+def _outcome_texts():
+    """1,000 random formula texts over both term families, each followed
+    by a corrupted copy."""
+    rng = random.Random(20261020)
+    for _ in range(1000):
+        tokens = _rand_formula_tokens(rng, rng.choice(("rc", "set")), 4)
+        yield _join_tokens(rng, tokens)
+        yield _corrupt(rng, tokens)
+
+
+def _parse_outcome(text):
+    try:
+        outcome = repr(parse(text))
+    except Exception as e:
+        outcome = f"{type(e).__name__}: {e}"
+    return hashlib.sha256(outcome.encode()).hexdigest()[:16]
+
+
+def test_parse_outcomes_are_unchanged():
+    want = json.loads(PARSE_OUTCOMES.read_text())
+    got = [_parse_outcome(text) for text in _outcome_texts()]
+    assert len(got) == len(want) == 2000
+    assert [i for i, d in enumerate(got) if d != want[i]] == []
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit(__doc__)
+    PARSE_OUTCOMES.write_text(json.dumps(
+        [_parse_outcome(text) for text in _outcome_texts()], indent=0) + "\n")
