@@ -7,6 +7,7 @@ Two term families share one grammar: the regular-closed algebra
 Mixing the two families inside one formula is rejected.
 """
 
+import itertools
 import re
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Set, Tuple
@@ -542,43 +543,92 @@ def literal_sets(f: Formula) -> Iterator[Tuple[Tuple[Formula, bool], ...]]:
 
 KEYWORDS = {"conn", "conn_le", "conn_ge", "int", "cl", "C", "v"} | set(RCC8_RELATIONS)
 
-# one alternative per token class, symbols longest first; spaces other
-# than newlines match nothing and are skipped
-_TOKEN = re.compile(r"(\n)|(->|!=|<=|[(),=!&|+*^~-])|(\d+)|([^\W\d]\w*)|(\S)")
+# the blanks before a token, then the token: a symbol (longest first), a
+# numeral, a name or any other character. Texts are scanned without their
+# trailing blanks, which would otherwise be rescanned from each position.
+_TOKEN = re.compile(r"\s*(->|!=|<=|[(),=!&|+*^~-]|\d+|[^\W\d]\w*|\S)")
+
+# the lexemes that are their own kind
+_OWN_KIND = KEYWORDS | {"->", "!=", "<=", *"(),=!&|+*^~-"}
 
 
-def _tokens(text: str) -> List[Tuple[str, str, int, int]]:
-    """(kind, lexeme, line, column) of every token of text, then EOF."""
-    tokens = []
-    line, line_start = 1, 0
-    for m in _TOKEN.finditer(text):
-        group, lexeme, pos = m.lastindex, m.group(), m.start()
-        col = pos - line_start + 1
-        if group == 1:
-            line, line_start = line + 1, pos + 1
-        elif group == 2:
-            tokens.append((lexeme, lexeme, line, col))
-        elif group == 3:
-            tokens.append(("NAT", lexeme, line, col))
-        elif group == 4 and (lexeme[0].isalpha() or lexeme[0] == "_"):
-            kind = lexeme if lexeme in KEYWORDS else "VAR"
-            tokens.append((kind, lexeme, line, col))
+def _lex(text: str) -> Tuple[List[str], List[str]]:
+    """The lexemes of text and their kinds, in step: a symbol or keyword
+    is its own kind, a numeral "NAT", a name "VAR" and the end of the
+    text "EOF", whose lexeme is "". Each distinct lexeme is classified
+    once, so the per-token work is the regex's and a dict lookup's."""
+    lexemes = _TOKEN.findall(text.rstrip())
+    lexemes.append("")
+    kind_of, bad = {}, []
+    for lexeme in set(lexemes):
+        if lexeme in _OWN_KIND:
+            kind_of[lexeme] = lexeme
+        elif not lexeme:
+            kind_of[lexeme] = "EOF"
+        elif lexeme[0].isdecimal():
+            kind_of[lexeme] = "NAT"
+        elif lexeme[0].isalpha() or lexeme[0] == "_":
+            kind_of[lexeme] = "VAR"
         else:   # a name may not start with a numeral such as '½' or '²'
-            raise ParseError(f"unexpected character {lexeme[0]!r}", line, col)
-    tokens.append(("EOF", "", line, len(text) - line_start + 1))
-    return tokens
+            bad.append(lexeme)
+    if bad:
+        first = min(map(lexemes.index, bad))
+        raise ParseError(f"unexpected character {lexemes[first][0]!r}",
+                         *_position(text, first))
+    return lexemes, list(map(kind_of.__getitem__, lexemes))
+
+
+def _position(text: str, index: int) -> Tuple[int, int]:
+    """(line, column) of token `index` of text, the end of the text for
+    EOF, read off a second scan: positions are only needed for errors."""
+    m = next(itertools.islice(_TOKEN.finditer(text.rstrip()), index, None), None)
+    start = len(text) if m is None else m.start(1)
+    return text.count("\n", 0, start) + 1, start - text.rfind("\n", 0, start)
+
+
+class _Fail(Exception):
+    """A syntax error inside the parser: args are the index of the token
+    it is at, the message, and whether the token found there follows the
+    message. `_Parser.run` turns it into a ParseError; a "(" that was not
+    a formula catches it, and so works out no position."""
+
+
+# what follows a parenthesized term at the start of an atom
+_AFTER_TERM = frozenset({"=", "!=", "<=", "+", "*", "v", "^"})
+_PREDICATES = frozenset({"C", "conn", "conn_le", "conn_ge", *RCC8_RELATIONS})
+_SUMS = {"+": Sum, "v": Union}
+_PRODUCTS = {"*": Prod, "^": Inter}
+_PREFIXES = {"-": Compl, "~": SetCompl}
 
 
 class _Parser:
-    """Recursive descent over the token list. Each distinct term and
-    formula is built once per parse (`share`), so a parsed formula is a
-    DAG in which equal subterms are one object."""
+    """Recursive descent over the token kinds, reading `kinds[pos]`
+    directly. Each distinct term and formula is built once per parse
+    (`share`), so a parsed formula is a DAG in which equal subterms are
+    one object. A run of "!" or of prefix term operators is read in a
+    loop, and sums and products in `parse_term` and `parse_product`, so
+    each level of parentheses costs at most four stack frames."""
 
     def __init__(self, text):
-        self.tokens = _tokens(text)
+        self.text = text
+        self.lexemes, self.kinds = _lex(text)
         self.pos = 0
         self.nodes: Dict[tuple, object] = {}
         self.pure: Set[int] = set()   # see _family_of
+
+    def run(self, start):
+        """start(), which must read the whole text; a syntax error raises
+        the ParseError that `_Fail` describes."""
+        try:
+            result = start()
+            if self.kinds[self.pos] != "EOF":
+                raise _Fail(self.pos, "expected 'EOF'", True)
+            return result
+        except _Fail as fail:
+            index, message, found = fail.args
+        if found:
+            message += f" (found {self.lexemes[index] or 'end of input'!r})"
+        raise ParseError(message, *_position(self.text, index))
 
     def shared(self, key, cls, *args):
         """The one cls(*args) of this parse, filed under `key`, which holds
@@ -591,191 +641,220 @@ class _Parser:
 
     def share(self, cls, *children):
         """The one cls(*children) of this parse (see `shared`)."""
-        return self.shared((cls, *map(id, children)), cls, *children)
-
-    def peek(self):
-        # only the last `expect("EOF")` moves past EOF, so pos stays in range
-        return self.tokens[self.pos]
-
-    def next(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def error(self, msg):
-        kind, lexeme, line, col = self.peek()
-        shown = lexeme or "end of input"
-        raise ParseError(f"{msg} (found {shown!r})", line, col)
-
-    def expect(self, kind):
-        if self.peek()[0] != kind:
-            self.error(f"expected {kind!r}")
-        return self.next()
-
-    def parse_formula(self):
-        f = self.parse_imp()
-        self.expect("EOF")
-        return f
+        key = (cls, *map(id, children))
+        node = self.nodes.get(key)
+        if node is None:
+            node = self.nodes[key] = cls(*children)
+        return node
 
     def parse_imp(self):
-        left = self.parse_disj()
-        if self.peek()[0] == "->":
-            self.next()
-            return self.share(Implies, left, self.parse_imp())
-        return left
+        """-> associates to the right."""
+        parts = [self.parse_disj()]
+        while self.kinds[self.pos] == "->":
+            self.pos += 1
+            parts.append(self.parse_disj())
+        f = parts.pop()
+        while parts:
+            f = self.share(Implies, parts.pop(), f)
+        return f
 
-    def parse_chain(self, cls, op, parse_part):
-        """The `op`-separated parts as one balanced chain (`_chain`); a lone
-        part is returned as it is, since every parsed chain is balanced."""
-        parts = [parse_part()]
-        while self.peek()[0] == op:
-            self.next()
-            parts.append(parse_part())
+    def chain(self, cls, parts):
+        """The parts as one balanced chain (`_chain`); a lone part is
+        returned as it is, since every parsed chain is balanced."""
         return parts[0] if len(parts) == 1 else _chain(
             cls, parts, lambda l, r: self.share(cls, l, r))
 
     def parse_disj(self):
-        return self.parse_chain(Or, "|", self.parse_conj)
+        parts = [self.parse_conj()]
+        while self.kinds[self.pos] == "|":
+            self.pos += 1
+            parts.append(self.parse_conj())
+        return self.chain(Or, parts)
 
     def parse_conj(self):
-        return self.parse_chain(And, "&", self.parse_lit)
+        parts = [self.parse_lit()]
+        while self.kinds[self.pos] == "&":
+            self.pos += 1
+            parts.append(self.parse_lit())
+        return self.chain(And, parts)
 
     def parse_lit(self):
-        kind = self.peek()[0]
-        if kind == "!":
-            self.next()
-            return self.share(Not, self.parse_lit())
+        kinds = self.kinds
+        start = pos = self.pos
+        while kinds[pos] == "!":
+            pos += 1
+        f = None
         # "(" opens a parenthesized formula only when it is not a term;
         # terms also start with "(" inside atoms, so try formula first.
-        if kind == "(":
-            save = self.pos
+        if kinds[pos] == "(":
+            self.pos = pos + 1
             try:
-                self.next()
                 f = self.parse_imp()
-                self.expect(")")
-                if self.peek()[0] in ("=", "!=", "<=", "+", "*", "v", "^"):
-                    raise ParseError("atom", 0, 0)   # backtrack: was a term
-                return f
-            except ParseError:
-                self.pos = save
-        return self.parse_atom()
+            except _Fail:
+                pass
+            if f is not None and kinds[self.pos] == ")" and (
+                    kinds[self.pos + 1] not in _AFTER_TERM):
+                self.pos += 1
+            else:
+                f = None
+        if f is None:
+            self.pos = pos
+            f = self.parse_atom()
+        for _ in range(pos - start):
+            f = self.share(Not, f)
+        return f
 
     def parse_atom(self):
-        kind, lexeme, line, col = self.peek()
-        if kind in RCC8_RELATIONS:
-            self.next()
-            self.expect("(")
-            t1 = self.parse_term()
-            self.expect(",")
-            t2 = self.parse_term()
-            self.expect(")")
-            return self.shared((Rcc8, kind, id(t1), id(t2)), Rcc8, kind, t1, t2)
-        if kind == "C":
-            self.next()
-            self.expect("(")
-            ts = [self.parse_term()]
-            while self.peek()[0] == ",":
-                self.next()
-                ts.append(self.parse_term())
-            self.expect(")")
-            if len(ts) < 2:
-                raise ParseError("C needs at least two arguments", line, col)
-            return self.shared((Contact, *map(id, ts)), Contact, tuple(ts))
-        if kind == "conn":
-            self.next()
-            self.expect("(")
-            t = self.parse_term()
-            self.expect(")")
-            return self.share(Conn, t)
-        if kind in ("conn_le", "conn_ge"):
-            self.next()
-            self.expect("(")
-            k = int(self.expect("NAT")[1])
-            self.expect(",")
-            t = self.parse_term()
-            self.expect(")")
-            if kind == "conn_le":
-                if k < 1:
-                    raise ParseError("conn_le requires k >= 1", line, col)
-                return self.shared((ConnLe, k, id(t)), ConnLe, k, t)
-            if k < 2:
-                raise ParseError("conn_ge requires k >= 2", line, col)
-            return self.share(Not, self.shared((ConnLe, k - 1, id(t)),
-                                               ConnLe, k - 1, t))
+        kinds = self.kinds
+        pos = self.pos
+        kind = kinds[pos]
+        if kind in _PREDICATES:
+            return self.parse_predicate(kind)
         t1 = self.parse_term()
-        op = self.peek()[0]
-        if op == "=":
-            self.next()
-            return self.share(Eq, t1, self.parse_term())
-        if op == "!=":
-            self.next()
-            return self.share(Not, self.share(Eq, t1, self.parse_term()))
+        op = kinds[self.pos]
+        if op != "=" and op != "!=" and op != "<=":
+            raise _Fail(self.pos, "expected '=', '!=' or '<=' after term", True)
+        self.pos += 1
+        t2 = self.parse_term()
         if op == "<=":
-            self.next()
-            t2 = self.parse_term()
             try:
                 fam = (_family_of(t1, self.pure)
                        or _family_of(t2, self.pure) or "rc")
             except FormulaError as e:
-                raise ParseError(str(e), line, col) from None
+                raise _Fail(pos, str(e), False) from None
             meet, compl = _LEQ_OPERATORS[fam]
-            return self.share(Eq, self.share(meet, t1, self.share(compl, t2)),
-                              ZERO)
-        self.error("expected '=', '!=' or '<=' after term")
+            t1, t2 = self.share(meet, t1, self.share(compl, t2)), ZERO
+        f = self.share(Eq, t1, t2)
+        return self.share(Not, f) if op == "!=" else f
+
+    def parse_predicate(self, kind):
+        """An atom kind(...): its arguments are terms, and for conn_le and
+        conn_ge a numeral before them."""
+        kinds = self.kinds
+        at = self.pos
+        pos = at + 1
+        if kinds[pos] != "(":
+            raise _Fail(pos, "expected '('", True)
+        pos += 1
+        if kind == "conn_le" or kind == "conn_ge":
+            if kinds[pos] != "NAT":
+                raise _Fail(pos, "expected 'NAT'", True)
+            try:
+                k = int(self.lexemes[pos])
+            except ValueError:   # more digits than int() takes
+                raise _Fail(pos, "numeral too long", False) from None
+            if kinds[pos + 1] != ",":
+                raise _Fail(pos + 1, "expected ','", True)
+            pos += 2
+        self.pos = pos
+        ts = [self.parse_term()]
+        if kind == "C":
+            while kinds[self.pos] == ",":
+                self.pos += 1
+                ts.append(self.parse_term())
+        elif kind in RCC8_RELATIONS:
+            if kinds[self.pos] != ",":
+                raise _Fail(self.pos, "expected ','", True)
+            self.pos += 1
+            ts.append(self.parse_term())
+        if kinds[self.pos] != ")":
+            raise _Fail(self.pos, "expected ')'", True)
+        self.pos += 1
+        if kind == "C":
+            if len(ts) < 2:
+                raise _Fail(at, "C needs at least two arguments", False)
+            return self.shared((Contact, *map(id, ts)), Contact, tuple(ts))
+        t = ts[0]
+        if kind == "conn":
+            return self.share(Conn, t)
+        if kind == "conn_le":
+            if k < 1:
+                raise _Fail(at, "conn_le requires k >= 1", False)
+            return self.shared((ConnLe, k, id(t)), ConnLe, k, t)
+        if kind == "conn_ge":
+            if k < 2:
+                raise _Fail(at, "conn_ge requires k >= 2", False)
+            return self.share(Not, self.shared((ConnLe, k - 1, id(t)),
+                                               ConnLe, k - 1, t))
+        return self.shared((Rcc8, kind, *map(id, ts)), Rcc8, kind, *ts)
 
     def parse_term(self):
-        t = self.parse_term_mul()
-        while self.peek()[0] in ("+", "v"):
-            op = self.next()[0]
-            right = self.parse_term_mul()
-            t = self.share(Sum if op == "+" else Union, t, right)
+        """Products joined by + or v, to the left; each node is shared
+        inline (see `shared`), as terms are most of a large formula."""
+        kinds, nodes = self.kinds, self.nodes
+        t = self.parse_product()
+        while (cls := _SUMS.get(kinds[self.pos])) is not None:
+            self.pos += 1
+            right = self.parse_product()
+            key = (cls, id(t), id(right))
+            node = nodes.get(key)
+            if node is None:
+                node = nodes[key] = cls(t, right)
+            t = node
         return t
 
-    def parse_term_mul(self):
-        t = self.parse_term_unary()
-        while self.peek()[0] in ("*", "^"):
-            op = self.next()[0]
-            right = self.parse_term_unary()
-            t = self.share(Prod if op == "*" else Inter, t, right)
+    def parse_product(self):
+        """Unary terms joined by * or ^, to the left (as `parse_term`)."""
+        kinds, nodes = self.kinds, self.nodes
+        t = self.parse_unary()
+        while (cls := _PRODUCTS.get(kinds[self.pos])) is not None:
+            self.pos += 1
+            right = self.parse_unary()
+            key = (cls, id(t), id(right))
+            node = nodes.get(key)
+            if node is None:
+                node = nodes[key] = cls(t, right)
+            t = node
         return t
 
-    def parse_term_unary(self):
-        kind, lexeme, line, col = self.peek()
-        if kind == "-":
-            self.next()
-            return self.share(Compl, self.parse_term_unary())
-        if kind == "~":
-            self.next()
-            return self.share(SetCompl, self.parse_term_unary())
-        if kind in ("int", "cl"):
-            self.next()
-            self.expect("(")
-            t = self.parse_term()
-            self.expect(")")
-            return self.share(Interior if kind == "int" else Closure, t)
-        if kind == "(":
-            self.next()
-            t = self.parse_term()
-            self.expect(")")
-            return t
-        if kind == "NAT":
-            self.next()
-            if lexeme == "0":
-                return ZERO
-            if lexeme == "1":
-                return ONE
-            raise ParseError(f"numeric term must be 0 or 1, got {lexeme}", line, col)
+    def parse_unary(self):
+        kinds = self.kinds
+        start = pos = self.pos
+        while kinds[pos] in _PREFIXES:
+            pos += 1
+        end = pos
+        kind = kinds[pos]
         if kind == "VAR":
-            self.next()
-            return self.shared(lexeme, Var, lexeme)
-        self.error("expected term")
+            self.pos = pos + 1
+            name = self.lexemes[pos]
+            t = self.nodes.get(name)
+            if t is None:
+                t = self.nodes[name] = Var(name)
+        elif kind == "(" or kind == "int" or kind == "cl":
+            if kind != "(":
+                pos += 1
+                if kinds[pos] != "(":
+                    raise _Fail(pos, "expected '('", True)
+            self.pos = pos + 1
+            t = self.parse_term()
+            if kinds[self.pos] != ")":
+                raise _Fail(self.pos, "expected ')'", True)
+            self.pos += 1
+            if kind != "(":
+                t = self.share(Interior if kind == "int" else Closure, t)
+        elif kind == "NAT":
+            self.pos = pos + 1
+            lexeme = self.lexemes[pos]
+            if lexeme == "0":
+                t = ZERO
+            elif lexeme == "1":
+                t = ONE
+            else:
+                raise _Fail(pos, f"numeric term must be 0 or 1, got {lexeme}",
+                            False)
+        else:
+            raise _Fail(pos, "expected term", True)
+        if end != start:
+            for i in range(end - 1, start - 1, -1):
+                t = self.share(_PREFIXES[kinds[i]], t)
+        return t
 
 
 def parse(text: str) -> Formula:
     """Parse a formula and validate term-family purity. Equal subterms
     of the result are one object."""
     parser = _Parser(text)
-    f = parser.parse_formula()
+    f = parser.run(parser.parse_imp)
     set_contact = False
     for a, _ in _atom_families(f, parser.pure):
         if isinstance(a, (Contact, Rcc8)) and not set_contact:
@@ -788,8 +867,7 @@ def parse(text: str) -> Formula:
 
 def parse_term(text: str) -> Term:
     p = _Parser(text)
-    t = p.parse_term()
-    p.expect("EOF")
+    t = p.run(p.parse_term)
     _family_of(t, p.pure)
     return t
 

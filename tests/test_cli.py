@@ -87,6 +87,13 @@ def test_parse_error_exit(capsys, monkeypatch):
     assert "parse error" in err
 
 
+@pytest.mark.parametrize("name", ["conn_le", "conn_ge"])
+def test_a_long_numeral_is_a_parse_error(capsys, monkeypatch, tmp_path, name):
+    path = write(tmp_path, "f.txt", f"{name}(" + "9" * 5000 + ", a)\n")
+    code, out, err = run(capsys, monkeypatch, ["translate", "--to", "nnf", path])
+    assert (code, out, err) == (2, "", "parse error: 1:9: numeral too long\n")
+
+
 def test_usage_error_exit(capsys, monkeypatch):
     code, _out, err = run(capsys, monkeypatch,
                           ["sat", "--method", "forks"], stdin="conn(a)\n")

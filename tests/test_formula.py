@@ -175,10 +175,27 @@ def test_a_numeral_that_is_no_decimal_starts_no_token():
         assert str(exc.value) == f"1:{col}: unexpected character {text[col - 1]!r}"
 
 
+def _token_positions(text, count):
+    """(line, column) of each of the first `count` tokens of text, read
+    off the ParseError raised at it."""
+    positions = []
+    for index in range(count):
+        parser = F._Parser(text)
+
+        def fail():
+            raise F._Fail(index, "here", False)
+
+        with pytest.raises(ParseError) as caught:
+            parser.run(fail)
+        assert str(caught.value).endswith(": here")
+        positions.append((caught.value.line, caught.value.column))
+    return positions
+
+
 def test_tokens():
-    tokens = F._Parser("conn(x1) -> a != 0 & a <= b | conn_le(12, v_2) v "
-                       "!C(a, -b)").tokens
-    assert [t[:2] for t in tokens] == [
+    text = "conn(x1) -> a != 0 & a <= b | conn_le(12, v_2) v !C(a, -b)"
+    parser = F._Parser(text)
+    assert list(zip(parser.kinds, parser.lexemes)) == [
         ("conn", "conn"), ("(", "("), ("VAR", "x1"), (")", ")"),
         ("->", "->"), ("VAR", "a"), ("!=", "!="), ("NAT", "0"), ("&", "&"),
         ("VAR", "a"), ("<=", "<="), ("VAR", "b"), ("|", "|"),
@@ -186,11 +203,54 @@ def test_tokens():
         ("VAR", "v_2"), (")", ")"), ("v", "v"), ("!", "!"), ("C", "C"),
         ("(", "("), ("VAR", "a"), (",", ","), ("-", "-"), ("VAR", "b"),
         (")", ")"), ("EOF", "")]
-    assert [t[3] for t in tokens[:8]] == [1, 5, 6, 8, 10, 13, 15, 18]
-    assert tokens[-1] == ("EOF", "", 1, 59)
-    assert F._Parser("a\n  = 0\n").tokens == [
-        ("VAR", "a", 1, 1), ("=", "=", 2, 3), ("NAT", "0", 2, 5),
-        ("EOF", "", 3, 1)]
+    assert [col for _, col in _token_positions(text, 8)] == [
+        1, 5, 6, 8, 10, 13, 15, 18]
+    assert _token_positions(text, 29)[-1] == (1, 59)
+    parser = F._Parser("a\n  = 0\n")
+    assert list(zip(parser.kinds, parser.lexemes)) == [
+        ("VAR", "a"), ("=", "="), ("NAT", "0"), ("EOF", "")]
+    assert _token_positions("a\n  = 0\n", 4) == [(1, 1), (2, 3), (2, 5), (3, 1)]
+
+
+def test_a_long_numeral_is_a_parse_error():
+    # int() reads at most 4,300 digits by default
+    for name in ("conn_le", "conn_ge"):
+        with pytest.raises(ParseError) as caught:
+            parse(f"a = 0 &\n  {name}(" + "9" * 5000 + ", a)")
+        assert str(caught.value) == "2:11: numeral too long"
+
+
+def test_a_parse_that_succeeds_builds_no_parse_error(monkeypatch):
+    from toposat import gadgets
+    built = []
+    init = ParseError.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(ParseError, "__init__", counted)
+    texts = ["(a + b) * c = 0 & (a = 0 | (b) = 0)",
+             print_formula(gadgets.gen_tiling_formula(
+                 gadgets.tiles_mismatched(), 0, 1)),
+             print_formula(gadgets.gen_tm_formula(gadgets.tm_accepter(), ()))]
+    for text in texts:
+        parse(text)
+    assert built == []
+    with pytest.raises(ParseError):
+        parse("(a + b) * c = 0 &")
+    assert len(built) == 1
+
+
+def test_parse_nests_deep():
+    assert parse_term("-(" * 200 + "a" + ")" * 200) is not None
+    for text in ("!(" * 100 + "a = 0" + ")" * 100,
+                 "(" * 120 + "a = 0" + ")" * 120,
+                 "!" * 800 + "a = 0"):
+        f = parse(text)
+        while isinstance(f, Not):
+            f = f.arg
+        assert f == Eq(Var("a"), Zero())
 
 
 def _nodes(f):
