@@ -368,15 +368,6 @@ def formula_family(f: Formula) -> Optional[str]:
 # ---------------------------------------------------------------------------
 # Language classification
 
-LANGUAGE_TAGS = (
-    "B", "Bc", "Bcc",
-    "RCC8", "RCC8c", "RCC8cc",
-    "C", "Cc", "Ccc",
-    "Cm", "Cmc", "Cmcc",
-    "S4u", "S4uc", "S4ucc",
-)
-
-
 def classify(f: Formula) -> str:
     """Least language tag containing every constructor and predicate of f."""
     return language(f)[0]

@@ -23,6 +23,18 @@ class GadgetError(Exception):
     """Malformed machine, tiling, or tree input."""
 
 
+def _rc_model(frame, supports: Dict[str, set], frame_class: str) -> Model:
+    """The model giving each variable the regular closed set that its
+    support generates in the frame."""
+    return Model(frame, {v: frame.rc_from_support(frozenset(s))
+                         for v, s in supports.items()}, frame_class)
+
+
+def _saw_model(depth0, depth1, succ1, supports, frame_class="regc") -> Model:
+    return _rc_model(QuasiSawFrame(depth0, depth1, succ1), supports,
+                     frame_class)
+
+
 # ---------------------------------------------------------------------------
 # Turing machines and their tile types
 
@@ -133,12 +145,16 @@ def tm_tile_types(m: TuringMachine) -> List[TileType]:
 Config = Tuple[object, ...]
 
 
-def initial_config(m: TuringMachine, word: Sequence[str]) -> Config:
+def _tape(m, word: Sequence[str]) -> List[str]:
+    """The word padded with blanks to the space bound of m."""
     if len(word) > m.space:
         raise GadgetError("input longer than the space bound")
-    tape = list(word) + [m.blank] * (m.space - len(word))
-    cells = [_head(m.initial, tape[0])] + [_sym(a) for a in tape[1:]]
-    return tuple(cells)
+    return list(word) + [m.blank] * (m.space - len(word))
+
+
+def initial_config(m: TuringMachine, word: Sequence[str]) -> Config:
+    tape = _tape(m, word)
+    return (_head(m.initial, tape[0]),) + tuple(_sym(a) for a in tape[1:])
 
 
 def accepting_config(m: TuringMachine) -> Config:
@@ -154,21 +170,23 @@ def _head_position(c: Config) -> Tuple[int, str, str]:
     raise GadgetError("configuration without a head cell")
 
 
+def _move(c: Config, pos: int, q2: str, a2: str, d: int) -> Optional[Config]:
+    """c after the head at pos writes a2, moves by d and enters q2, or
+    None if the head would leave the tape."""
+    if not 0 <= pos + d < len(c):
+        return None
+    cells = list(c)
+    cells[pos] = _sym(a2)
+    cells[pos + d] = _head(q2, cells[pos + d][1])
+    return tuple(cells)
+
+
 def step_config(m: TuringMachine, c: Config) -> Optional[Config]:
     """One machine step, or None if no instruction applies or the head
     would leave the tape."""
     pos, q, a = _head_position(c)
     out = m.transition(q, a)
-    if out is None:
-        return None
-    q2, a2, d = out
-    if not 0 <= pos + d < m.space:
-        return None
-    cells = list(c)
-    cells[pos] = _sym(a2)
-    sym = cells[pos + d][1]
-    cells[pos + d] = _head(q2, sym)
-    return tuple(cells)
+    return None if out is None else _move(c, pos, *out)
 
 
 def run_of(m: TuringMachine, word: Sequence[str],
@@ -187,49 +205,14 @@ def run_of(m: TuringMachine, word: Sequence[str],
     return None
 
 
-def step_column(m: TuringMachine, c: Config) -> List[TileType]:
-    """The tile column encoding the step c -> step_config(c): action
-    tile at the head, arrival tile at the head's target, copy tiles
-    below with bottom colour and above with top colour."""
-    nxt = step_config(m, c)
-    if nxt is None:
-        raise GadgetError("configuration has no successor")
-    pos, q, a = _head_position(c)
-    q2, a2, d = m.transition(q, a)
-    column: List[TileType] = []
-    for i, cell in enumerate(c):
-        if i == pos:
-            if d == 0:
-                column.append(TileType(_head(q, a), TOP, _head(q2, a2), BOT))
-            elif d == -1:
-                column.append(TileType(_head(q, a), TOP, _sym(a2), _head_bot(q2)))
-            else:
-                column.append(TileType(_head(q, a), _head_top(q2), _sym(a2), BOT))
-        elif i == pos + d:
-            sym = cell[1]
-            if d == -1:
-                column.append(TileType(_sym(sym), _head_bot(q2), _head(q2, sym), BOT))
-            else:
-                column.append(TileType(_sym(sym), TOP, _head(q2, sym), _head_top(q2)))
-        elif i < min(pos, pos + d):
-            column.append(TileType(cell, BOT, cell, BOT))
-        else:
-            column.append(TileType(cell, TOP, cell, TOP))
-    for i, tile in enumerate(column):
-        if tile.left != c[i] or tile.right != nxt[i]:
-            raise GadgetError("tile column does not encode the step")
-    return column
-
-
-def _search_column(tiles: Sequence[TileType], side: str,
-                   target: Config) -> List[TileType]:
-    """A vertically consistent column whose given side spells the target
-    configuration; falls back to a side-only match when none exists."""
-    s = len(target)
-    per_row = [[t for t in tiles if getattr(t, side) == target[i]]
-               for i in range(s)]
-    if any(not row for row in per_row):
-        raise GadgetError("no tile matches the target configuration")
+def _search_column(tiles: Sequence[TileType], left: Optional[Config] = None,
+                   right: Optional[Config] = None) -> Optional[List[TileType]]:
+    """A vertically consistent column whose left and right sides spell
+    the given configurations, a side given as None being free; None if
+    no column fits."""
+    s = len(left or right)
+    per_row = [[t for t in tiles if (left is None or t.left == left[i])
+                and (right is None or t.right == right[i])] for i in range(s)]
     column: List[TileType] = []
 
     def go(i):
@@ -247,9 +230,7 @@ def _search_column(tiles: Sequence[TileType], side: str,
             column.pop()
         return False
 
-    if go(0):
-        return column
-    return [row[0] for row in per_row]
+    return column if go(0) else None
 
 
 # ---------------------------------------------------------------------------
@@ -303,20 +284,25 @@ def gen_tm_formula(m: TuringMachine, word: Sequence[str]) -> Formula:
                 out.append(Not(Contact((Prod(B[l], T[k1][i]),
                                         Prod(B[l], T[k2][i])))))
     # anchors: some point reads the initial configuration on the left
-    # and some point writes the accepting configuration on the right
-    start = _search_column(tiles, "left", initial_config(m, word))
-    finish = _search_column(tiles, "right", accepting_config(m))
-    out.append(neq(reduce(Prod, [T[tiles.index(t)][i]
-                                for i, t in enumerate(start)]), Zero()))
-    out.append(neq(reduce(Prod, [T[tiles.index(t)][i]
-                                for i, t in enumerate(finish)]), Zero()))
+    # and some point writes the accepting configuration on the right; a
+    # side-only match stands in when no column fits
+    for side, target in (("left", initial_config(m, word)),
+                         ("right", accepting_config(m))):
+        column = _search_column(tiles, **{side: target}) or [
+            next((t for t in tiles if getattr(t, side) == cell), None)
+            for cell in target]
+        if None in column:
+            raise GadgetError("no tile matches the target configuration")
+        out.append(neq(reduce(Prod, [T[tiles.index(t)][i]
+                                    for i, t in enumerate(column)]), Zero()))
     return conj(out)
 
 
 def gen_tm_witness(m: TuringMachine, word: Sequence[str],
                    run: Sequence[Config]) -> Model:
     """Fence model of the run formula: one interval per step, direction
-    colours cycling along the fence, tile columns encoding the steps."""
+    colours cycling along the fence, and per step the column of
+    `tm_tile_types(m)` that encodes it."""
     if len(run) < 2:
         raise GadgetError("a run needs at least two configurations")
     if run[0] != initial_config(m, word):
@@ -328,19 +314,19 @@ def gen_tm_witness(m: TuringMachine, word: Sequence[str],
             raise GadgetError("run contains an invalid step")
     tiles = tm_tile_types(m)
     n = len(run) - 1
-    frame = make_fence(n)
     supports: Dict[str, set] = {f"B{l}": set() for l in range(3)}
     for k in range(len(tiles)):
         for i in range(1, m.space + 1):
             supports[_tile_var(k, i).name] = set()
     for j in range(n):
+        column = _search_column(tiles, run[j], run[j + 1])
+        if column is None:
+            raise GadgetError("tile column does not encode the step")
         cell = f"i{j}"
         supports[f"B{j % 3}"].add(cell)
-        for i, tile in enumerate(step_column(m, run[j])):
+        for i, tile in enumerate(column):
             supports[_tile_var(tiles.index(tile), i + 1).name].add(cell)
-    valuation = {v: frame.rc_from_support(frozenset(s))
-                 for v, s in supports.items()}
-    return Model(frame, valuation, "fence")
+    return _rc_model(make_fence(n), supports, "fence")
 
 
 # ---------------------------------------------------------------------------
@@ -597,11 +583,8 @@ def atm_chi(m: AlternatingTM):
 
 
 def atm_psi(m: AlternatingTM, word: Sequence[str]):
-    if len(word) > m.space:
-        raise GadgetError("input longer than the space bound")
-    tape = list(word) + [m.blank] * (m.space - len(word))
     start = [_h_var(m.initial, 1)]
-    start += [_s_var(a, i + 1) for i, a in enumerate(tape)]
+    start += [_s_var(a, i + 1) for i, a in enumerate(_tape(m, word))]
     return m_implies(m_and(start), M_ACCEPT)
 
 
@@ -623,13 +606,11 @@ def computation_tree(m: AlternatingTM, word: Sequence[str],
         if m.is_final(q):
             continue
         kids = []
-        for q2, a2, d in m.branches(q, a):
-            if not 0 <= pos + d < m.space:
+        for branch in m.branches(q, a):
+            nxt = _move(configs[node], pos, *branch)
+            if nxt is None:
                 raise GadgetError("branch moves the head off the tape")
-            cells = list(configs[node])
-            cells[pos] = _sym(a2)
-            cells[pos + d] = _head(q2, cells[pos + d][1])
-            configs.append(tuple(cells))
+            configs.append(nxt)
             children.append(None)
             kids.append(len(configs) - 1)
         children[node] = (kids[0], kids[1])
@@ -831,10 +812,7 @@ def gen_tree_witness(tree: LabeledBinaryTree, box_formulas) -> Model:
                 if tree.label(node, b):
                     supports[_q_var(closure, b.arg).name].add(teeth[2 * b.i])
 
-    frame = QuasiSawFrame(depth0, depth1, succ1)
-    valuation = {v: frame.rc_from_support(frozenset(s))
-                 for v, s in supports.items()}
-    return Model(frame, valuation, "conregc")
+    return _saw_model(depth0, depth1, succ1, supports, "conregc")
 
 
 def atm_rejecter() -> AlternatingTM:
@@ -987,7 +965,6 @@ def gen_tiling_witness(tiles: Sequence[TileType],
                 depth1[f"h{x}_{y}"] = {cells[(x, y)], cells[(x + 1, y)]}
             if y + 1 < size:
                 depth1[f"u{x}_{y}"] = {cells[(x, y)], cells[(x, y + 1)]}
-    frame = QuasiSawFrame(cells.values(), depth1.keys(), depth1)
     supports: Dict[str, set] = {}
     for l in range(3):
         supports[f"H{l}"] = {cells[(x, y)] for (x, y) in cells if x % 3 == l}
@@ -1000,9 +977,7 @@ def gen_tiling_witness(tiles: Sequence[TileType],
     supports["G"] = set(cells.values())
     for k in range(len(tiles)):
         supports[f"T{k}"] = {cells[c] for c, kk in tiling.items() if kk == k}
-    valuation = {v: frame.rc_from_support(frozenset(s))
-                 for v, s in supports.items()}
-    return Model(frame, valuation, "regc")
+    return _saw_model(cells.values(), depth1.keys(), depth1, supports)
 
 
 def tiles_uniform() -> List[TileType]:
@@ -1089,13 +1064,6 @@ class CorpusEntry:
 
 def _ec(t1, t2):
     return F.Rcc8("EC", t1, t2)
-
-
-def _saw_model(depth0, depth1, succ1, supports, frame_class="regc") -> Model:
-    frame = QuasiSawFrame(depth0, depth1, succ1)
-    valuation = {v: frame.rc_from_support(frozenset(s))
-                 for v, s in supports.items()}
-    return Model(frame, valuation, frame_class)
 
 
 def _disconnected_witness() -> Model:

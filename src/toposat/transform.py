@@ -7,6 +7,7 @@ the future-past temporal translation with its fence-cell semantics.
 """
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Dict, List, Optional, Tuple
 
 from . import formula as F
@@ -57,18 +58,17 @@ def _map_atoms(f: Formula, fn) -> Formula:
     raise TransformError(f"not a formula: {f!r}")
 
 
-def replace_occurrence(f: Formula, pred, index, builder) -> Formula:
-    """Replace the index-th (preorder) node matching pred(node, polarity)
-    by builder(node). Raises if no such occurrence exists."""
-    counter = [0]
+def replace_occurrence(f: Formula, pred, builder) -> Formula:
+    """Replace every node matching pred(node, polarity) by builder(node),
+    called on the matches in preorder; polarity is 1 at the root and
+    flips under `!` and left of `->`. The inside of a match is not
+    searched. Raises if nothing matches."""
     done = [False]
 
     def go(g, polarity):
         if pred(g, polarity):
-            if counter[0] == index:
-                done[0] = True
-                return builder(g)
-            counter[0] += 1
+            done[0] = True
+            return builder(g)
         if isinstance(g, F.ATOM_CLASSES):
             return g
         if isinstance(g, Not):
@@ -83,7 +83,7 @@ def replace_occurrence(f: Formula, pred, index, builder) -> Formula:
 
     out = go(f, 1)
     if not done[0]:
-        raise TransformError("no matching occurrence at that index")
+        raise TransformError("no matching occurrence")
     return out
 
 
@@ -189,16 +189,16 @@ def dagger(f: Formula) -> Formula:
 # ---------------------------------------------------------------------------
 # Positive occurrences of component-count predicates
 
-def eliminate_count_pos(f: Formula, index: int = 0,
-                        fresh: Optional[FreshVars] = None) -> Formula:
-    """Replace one positively occurring at-most-k (or at-least-k, i.e.
+def eliminate_count_pos(f: Formula) -> Formula:
+    """Replace every positively occurring at-most-k (or at-least-k, i.e.
     negated at-most) component atom by its union-of-connected-pieces
-    expansion. Set-operator formulas only: the expansion needs frames
-    whose region family is closed under taking components, which the
-    power-set classes guarantee."""
+    expansion, each over fresh variables of its own. Set-operator
+    formulas only: the expansion needs frames whose region family is
+    closed under taking components, which the power-set classes
+    guarantee."""
     if F.formula_family(f) == "rc":
         raise TransformError("count elimination applies to set-operator formulas")
-    fresh = fresh or FreshVars(f)
+    fresh = FreshVars(f)
 
     def pred(g, polarity):
         if isinstance(g, Not) and isinstance(g.arg, ConnLe):
@@ -211,23 +211,18 @@ def eliminate_count_pos(f: Formula, index: int = 0,
         if isinstance(g, ConnLe):
             tau, k = g.term, g.k
             parts = [fresh.next() for _ in range(k)]
-            union = parts[0]
-            for r in parts[1:]:
-                union = Union(union, r)
-            return conj([Eq(tau, union)] + [Conn(r) for r in parts])
+            return conj([Eq(tau, reduce(Union, parts))]
+                        + [Conn(r) for r in parts])
         # not(at most k) = at least k+1 components
         tau, k = g.arg.term, g.arg.k
         parts = [fresh.next() for _ in range(k + 1)]
-        union = parts[0]
-        for r in parts[1:]:
-            union = Union(union, r)
-        out = [Eq(tau, union)]
+        out = [Eq(tau, reduce(Union, parts))]
         out += [Not(Eq(r, ZERO)) for r in parts]
         out += [Eq(Inter(tau, Inter(Closure(parts[i]), Closure(parts[j]))), ZERO)
                 for i in range(len(parts)) for j in range(i + 1, len(parts))]
         return conj(out)
 
-    return replace_occurrence(f, pred, index, builder)
+    return replace_occurrence(f, pred, builder)
 
 
 # ---------------------------------------------------------------------------
@@ -261,11 +256,13 @@ def _epsilon(f: Formula) -> Formula:
     return Not(Eq(ZERO, ZERO))
 
 
-def eliminate_contact_pos(f: Formula, index: int = 0,
+def eliminate_contact_pos(f: Formula,
                           fresh: Optional[FreshVars] = None) -> Formula:
-    """Remove one positive binary contact atom, trading it for a fresh
-    marker t (contact holds iff t is empty) guarded by connected
-    witnesses t1 <= tau1, t2 <= tau2 with connected sum."""
+    """Replace every positive binary contact atom by `t = 0` for one fresh
+    marker t, guarded by connected witnesses t1 <= tau1, t2 <= tau2 with
+    connected sum, where tau1 and tau2 are the terms of the last contact
+    replaced. With more than one distinct contact the result need not be
+    equisatisfiable with f."""
     fresh = fresh or FreshVars(f)
     t, t1, t2 = fresh.next(), fresh.next(), fresh.next()
     target = [None]
@@ -277,7 +274,7 @@ def eliminate_contact_pos(f: Formula, index: int = 0,
         target[0] = g
         return Eq(t, ZERO)
 
-    replaced = replace_occurrence(f, pred, index, builder)
+    replaced = replace_occurrence(f, pred, builder)
     tau1, tau2 = target[0].terms
     guard = Implies(
         Eq(t, ZERO),
@@ -287,10 +284,12 @@ def eliminate_contact_pos(f: Formula, index: int = 0,
     return Or(_epsilon(f), And(replaced, guard))
 
 
-def eliminate_contact_neg(f: Formula, index: int = 0, connected: bool = False,
+def eliminate_contact_neg(f: Formula, connected: bool = False,
                           fresh: Optional[FreshVars] = None) -> Formula:
-    """Remove one positive occurrence of a negated binary contact atom,
-    relativizing the formula to a fresh subspace variable s."""
+    """Replace every positive occurrence of a negated binary contact atom
+    by `t = 0` for one fresh marker t, relativizing the formula to a
+    fresh subspace variable s; the guard reads the terms of the last
+    contact replaced, as in `eliminate_contact_pos`."""
     fresh = fresh or FreshVars(f)
     s, t, t1, t2 = fresh.next(), fresh.next(), fresh.next(), fresh.next()
     target = [None]
@@ -303,7 +302,7 @@ def eliminate_contact_neg(f: Formula, index: int = 0, connected: bool = False,
         target[0] = g.arg
         return Eq(t, ZERO)
 
-    replaced = replace_occurrence(f, pred, index, builder)
+    replaced = replace_occurrence(f, pred, builder)
     tau1, tau2 = target[0].terms
     body = conj([
         Not(Eq(s, ZERO)),
@@ -324,8 +323,8 @@ def _has_binary_contact(f: Formula) -> bool:
 
 
 def eliminate_contacts(f: Formula, connected: bool = False) -> Formula:
-    """Remove every binary contact atom by repeated application of the
-    two elimination steps; the result is contact-free."""
+    """Remove every binary contact atom by the two elimination steps,
+    negated contacts first; the result is contact-free."""
     for a in F.atoms(f):
         if isinstance(a, Contact) and len(a.terms) != 2:
             raise TransformError("contact elimination handles binary contact only")
@@ -333,9 +332,9 @@ def eliminate_contacts(f: Formula, connected: bool = False) -> Formula:
     f = nnf(f)
     while _has_binary_contact(f):
         try:
-            f = eliminate_contact_neg(f, 0, connected, fresh)
+            f = eliminate_contact_neg(f, connected, fresh)
         except TransformError:
-            f = eliminate_contact_pos(f, 0, fresh)
+            f = eliminate_contact_pos(f, fresh)
         f = nnf(f)
     return f
 

@@ -74,6 +74,16 @@ def test_tm_witness_rejects_bad_runs():
         gen_tm_witness(m, (), run[:1] + run[2:])
 
 
+def test_tm_witness_reads_its_columns_off_the_tile_set(monkeypatch):
+    # a step whose column the tile set lacks is a GadgetError
+    m = tm_accepter()
+    real = G.tm_tile_types
+    monkeypatch.setattr(G, "tm_tile_types", lambda m: [
+        t for t in real(m) if t.left[0] != "head"])
+    with pytest.raises(GadgetError, match="does not encode the step"):
+        gen_tm_witness(m, (), run_of(m, ()))
+
+
 def test_tm_rejecting_formula_unsat_small():
     f = gen_tm_formula(tm_rejecter(), ())
     r = sat_bounded(f, "conregc", 3)

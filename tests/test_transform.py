@@ -103,6 +103,19 @@ def test_eliminate_contacts_equisat_small():
         assert (got.status == "SAT") == expect_sat, text
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="every contact of one sign shares one marker, "
+                          "guarded by the terms of the last one")
+def test_contact_elimination_keeps_two_contacts_apart():
+    # b = 0 leaves C(a, b) false, so f has no model; one marker for both
+    # contacts, guarded by a and c alone, makes the rewrite satisfiable
+    f = parse("C(a, b) & C(a, c) & b = 0")
+    for connected, frame_class in ((False, "regc"), (True, "conregc")):
+        assert solve(f, frame_class, 6).status == "UNSAT"
+        g = T.eliminate_contacts(f, connected=connected)
+        assert solve(g, frame_class, 1).status != "SAT"
+
+
 def test_eq_normalize():
     g = T.eq_normalize(parse("a = b"), None)
     assert g == parse("a * -b + b * -a = 0")
