@@ -87,8 +87,8 @@ BOUNDED = "BOUNDED"
 @dataclass
 class SolveResult:
     """A verdict, built by `_result`, the one exit of every route, whose
-    budget is read from preparation on. Its completeness follows from
-    its status: only UNSAT_WITHIN_BOUND is bounded."""
+    budget is read once the formula's language is known. Its completeness
+    follows from its status: only UNSAT_WITHIN_BOUND is bounded."""
     status: str
     certificate: Optional[Model] = None
     bound_used: int = 0
@@ -563,11 +563,15 @@ def _sat_forks(f: Formula, frame_class: str, tag: str, family: Optional[str],
                start: float, deadline: Optional[float]) -> SolveResult:
     """The fork procedure, for a language `forks_decide` gives it; past
     `deadline` (a `time.monotonic()` reading, or None) it stops with an
-    aborted UNSAT_WITHIN_BOUND at bound 0. The relation atoms are written
-    as contacts once, for the search and for the theoretical bound."""
-    c = rcc8_to_c(f)
-    tb = _theoretical_bound(c, frame_class, tag)
+    aborted UNSAT_WITHIN_BOUND at bound 0, with no theoretical bound if
+    it stopped before the relation atoms were written as contacts. They
+    are written so once, for the search and for the theoretical bound."""
+    tb = None
     try:
+        _check_clock(deadline)
+        c = rcc8_to_c(f)
+        tb = _theoretical_bound(c, frame_class, tag)
+        _check_clock(deadline)
         g = eq_normalize(c, family)
         _check_clock(deadline)
         variables = sorted(F.variables(g))
@@ -1335,6 +1339,8 @@ def sat_bounded(f: Formula, frame_class: str = "regc", max_points: int = 8,
     is read while f is prepared and searched, not in that re-check,
     which `stats["time"]` includes. Completeness follows from status."""
     start = time.monotonic()
+    if max_points < 0:
+        raise SolverError("bound must be nonnegative")
     return _sat_bounded(f, frame_class, max_points, time_budget, start,
                         *F.language(f), refute=False)
 
@@ -1351,8 +1357,6 @@ def _sat_bounded(f: Formula, frame_class: str, max_points: int,
     the conn-free relaxation (`_relaxation_refuted`) ends the run with a
     complete UNSAT; if the relaxation is satisfiable the search goes on
     as without it."""
-    if max_points < 0:
-        raise SolverError("bound must be nonnegative")
     if frame_class not in FRAME_CLASSES:
         raise SolverError(f"unknown frame class {frame_class!r}")
     # the goal's contact is the regular-closed one, so over the power-set
@@ -1365,18 +1369,21 @@ def _sat_bounded(f: Formula, frame_class: str, max_points: int,
     if problem is not None:
         raise SolverError(problem)
     counters = {"nodes": 0, "frames": 0}
-    if refute and _unit_conflict(f):
-        # solve sends the fork languages, the only ones with a bound, to
-        # the fork route, so the bound is None here
-        return _result(f, start, UNSAT, "units", None, counters)
-    # the relation atoms are written as contacts once, for the bound and
-    # the search
-    c = f if whole else rcc8_to_c(f)
-    tb = _theoretical_bound(c, frame_class, tag)
     deadline = None if time_budget is None else start + time_budget
     search = _search_set if whole else _search_rc
+    tb = None   # until the relation atoms are written as contacts
     n = 1       # the size searched: every smaller one is done
     try:
+        _check_clock(deadline)
+        if refute and _unit_conflict(f):
+            # solve sends the fork languages, the only ones with a bound,
+            # to the fork route, so the bound is None here
+            return _result(f, start, UNSAT, "units", None, counters)
+        _check_clock(deadline)
+        # the relation atoms are written as contacts once, for the bound
+        # and the search; _Prep reads the clock first
+        c = f if whole else rcc8_to_c(f)
+        tb = _theoretical_bound(c, frame_class, tag)
         prep = _Prep(c, tag, family, whole, deadline)
         del c   # the search reads prep alone: free the translated copy
         if frame_class == "fence":     # a fence has at least one interval
@@ -1427,10 +1434,13 @@ def solve(f: Formula, frame_class: str = "regc", max_points: int = 8,
     certificate still comes from the fork route or the bounded search,
     which `sat_bounded` runs without these steps. Both routes leave
     through `_result`, and completeness follows from status.
-    `time_budget` holds on both, while the formula is prepared and
-    searched; a run it stops is an aborted UNSAT_WITHIN_BOUND. It stops
-    no re-check of a SAT certificate, which `stats["time"]` includes."""
+    `time_budget` holds on both from entry, and is first read once the
+    formula's language is known; a run it stops is an aborted
+    UNSAT_WITHIN_BOUND. It stops no re-check of a SAT certificate, which
+    `stats["time"]` includes. A negative bound is refused on both."""
     start = time.monotonic()
+    if max_points < 0:
+        raise SolverError("bound must be nonnegative")
     tag, family = F.language(f)
     if forks_decide(tag, frame_class):
         return _sat_forks(f, frame_class, tag, family, start,

@@ -252,6 +252,13 @@ def test_sat_bounded_guards():
             solve(parse(text), frame_class, 3)
 
 
+def test_solve_refuses_a_negative_bound_on_both_routes():
+    # the fork route reads no bound, and took -1 for one
+    for text in ("C(a, b)", "conn(a)"):
+        with pytest.raises(SolverError, match="nonnegative"):
+            solve(parse(text), "regc", -1)
+
+
 def test_solve_routes_forks():
     r = solve(parse("C(a, b) & !C(a, b)"))
     assert r.status == "UNSAT" and r.method == "forks"
@@ -907,6 +914,26 @@ def test_time_budget_read_while_preparing():
         assert time.monotonic() - start < budget + preparing / 3, run
         assert r.status == "UNSAT_WITHIN_BOUND" and r.stats["aborted"] is True
         assert r.bound_used == 0
+
+
+def test_spent_budget_stops_before_the_first_rewrite(monkeypatch):
+    # a budget spent once the language is read stops each route before
+    # its unit step and its relation rewrite, with no theoretical bound
+    from toposat import solver
+    calls = []
+    for name in ("_unit_conflict", "rcc8_to_c"):
+        monkeypatch.setattr(solver, name, lambda f, name=name,
+                            real=getattr(solver, name):
+                            calls.append(name) or real(f))
+    for run, text, method in ((solve, "C(a, b)", "forks"),
+                              (solve, "conn(a) & C(a, b)", "bounded"),
+                              (sat_bounded, "conn(a) & C(a, b)", "bounded")):
+        calls.clear()
+        r = run(parse(text), "regc", 4, time_budget=0)
+        assert (r.status, r.method, r.bound_used) == \
+            ("UNSAT_WITHIN_BOUND", method, 0)
+        assert r.stats["aborted"] and r.theoretical_bound is None
+        assert calls == [], (run, text)
 
 
 def test_sat_time_includes_the_recheck():
