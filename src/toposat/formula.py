@@ -10,7 +10,8 @@ Mixing the two families inside one formula is rejected.
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Set, Tuple)
 
 
 class FormulaError(Exception):
@@ -415,118 +416,174 @@ def language(f: Formula) -> Tuple[str, Optional[str]]:
 
 
 # ---------------------------------------------------------------------------
-# Boolean skeleton
+# Three-valued search
 
-class _ThreeValued:
-    """The Boolean skeleton of a formula, read off it in one pass with an
-    explicit stack: one node per occurrence of a connective or atom, in
-    left-to-right preorder, so a node's first operand is the node after
-    it. Structurally equal atoms are one letter, and `letters` holds the
-    atoms by first occurrence. Kleene values are refined upwards from
-    each assigned letter and restored through a trail."""
+class KleeneGates:
+    """Kleene gates in a DAG, and a depth-first search over their leaves.
+    A gate is a leaf, a negation, or a conjunction or disjunction of any
+    number of operands; the constants are the empty conjunction (True)
+    and the empty disjunction (False). Gates are numbered as they are
+    made, after their operands, and an equal gate is made once, so gates
+    share operands. Each gate is (kind, operands), its kind None for a
+    leaf or a negation and otherwise the value that decides it alone:
+    False for a conjunction, True for a disjunction. `start` holds each
+    gate's value while every leaf is unknown, and `nodes` counts the
+    values tried over all searches."""
 
-    def __init__(self, f: Formula):
-        self.op: List[Optional[type]] = []
-        self.parent: List[int] = []
-        self.second: List[int] = []     # a binary node's second operand
-        leaves: Dict[Formula, List[int]] = {}
-        stack = [(f, -1)]
-        while stack:
-            g, parent = stack.pop()
-            k = len(self.op)
-            self.parent.append(parent)
-            self.second.append(-1)
-            if parent >= 0 and k != parent + 1:
-                self.second[parent] = k
-            if isinstance(g, ATOM_CLASSES):
-                self.op.append(None)
-                leaves.setdefault(g, []).append(k)
-            elif isinstance(g, Not):
-                self.op.append(Not)
-                stack.append((g.arg, k))
-            elif isinstance(g, (And, Or, Implies)):
-                self.op.append(type(g))
-                stack.append((g.right, k))
-                stack.append((g.left, k))
+    def __init__(self):
+        self.gates: List[Tuple[Optional[bool], Tuple[int, ...]]] = []
+        self.parents: List[List[int]] = []      # per gate, the gates it feeds
+        self.start: List[Optional[bool]] = []
+        self.nodes = 0
+        self._made: Dict[Tuple[Optional[bool], Tuple[int, ...]], int] = {}
+
+    def leaf(self) -> int:
+        return self._add(None, (), None)
+
+    def _add(self, kind: Optional[bool], args: Tuple[int, ...],
+             value: Optional[bool]) -> int:
+        k = len(self.gates)
+        self.gates.append((kind, args))
+        self.parents.append([])
+        self.start.append(value)
+        for a in args:
+            self.parents[a].append(k)
+        return k
+
+    def _gate(self, kind: Optional[bool], args: Tuple[int, ...]) -> int:
+        k = self._made.get((kind, args))
+        if k is None:
+            values = set(map(self.start.__getitem__, args))
+            if kind is None:
+                value = None if None in values else not values.pop()
             else:
-                raise FormulaError(f"not a formula: {g!r}")
-        self.letters = list(leaves)
-        self.leaves = list(leaves.values())     # per letter, its nodes
-        self.value: List[Optional[bool]] = [None] * len(self.op)
-        self.trail: List[int] = []
+                value = (kind if kind in values else
+                         None if None in values else not kind)
+            k = self._made[kind, args] = self._add(kind, args, value)
+        return k
 
-    def _eval(self, k: int) -> Optional[bool]:
-        op, value = self.op[k], self.value
-        a = value[k + 1]
-        if op is Not:
-            return None if a is None else not a
-        b = value[self.second[k]]
-        if op is Implies:
-            a = None if a is None else not a
-            op = Or
-        if op is And:
-            if a is False or b is False:
-                return False
-            return True if (a is True and b is True) else None
-        if a is True or b is True:
-            return True
-        return False if (a is False and b is False) else None
+    def neg(self, a: int) -> int:
+        return self._gate(None, (a,))
 
-    def assign(self, letter: int, truth: bool):
-        """Values only go from None to a truth value, so propagation stops
-        at the first node that stays undetermined or already was set."""
-        value, parent = self.value, self.parent
-        for k in self.leaves[letter]:
-            value[k] = truth
-            self.trail.append(k)
-            k = parent[k]
-            while k >= 0 and value[k] is None:
-                new = self._eval(k)
-                if new is None:
+    def meet(self, *args: int) -> int:
+        return args[0] if len(args) == 1 else self._gate(False, args)
+
+    def join(self, *args: int) -> int:
+        return args[0] if len(args) == 1 else self._gate(True, args)
+
+    def search(self, order: Sequence[int], watched: Iterable[int],
+               tick: Optional[Callable[[], None]] = None
+               ) -> Iterator[List[bool]]:
+        """The assignments to the leaves in `order` under which no watched
+        gate is True, in the order of a depth-first search that assigns
+        them first to last, False before True, and cuts a branch as soon
+        as a watched gate's Kleene value is True. Each comes out as one
+        list of the leaves' values, which the search goes on to change.
+        Each value tried counts a node and calls `tick`, if given. A
+        watched gate True before any assignment yields nothing. The
+        search owns its values and its trail, so searches over one DAG
+        may interleave, and it reads no gate made after it began."""
+        value = self.start[:]
+        size = len(value)
+        watched = set(watched)
+        if any(map(value.__getitem__, watched)):
+            return
+        gates, parents = self.gates, self.parents
+        n = len(order)
+        truth: List[Optional[bool]] = [None] * n    # None: not yet tried
+        marks = [0] * n     # the trail's length before each position
+        trail: List[int] = []
+        i = 0
+        while i >= 0:
+            if i == n:
+                yield truth
+                i -= 1
+                continue
+            b = truth[i]
+            if b is None:
+                marks[i] = len(trail)
+            else:
+                for k in trail[marks[i]:]:
+                    value[k] = None
+                del trail[marks[i]:]
+                if b:
+                    truth[i] = None
+                    i -= 1
+                    continue
+            self.nodes += 1
+            if tick is not None:
+                tick()
+            k = order[i]
+            value[k] = truth[i] = b is False
+            trail.append(k)
+            stack = [k]
+            while stack:    # values only refine, so each gate is set once
+                k = stack.pop()
+                v = value[k]
+                if v and k in watched:
                     break
-                value[k] = new
-                self.trail.append(k)
-                k = parent[k]
-
-    def undo(self, mark: int):
-        while len(self.trail) > mark:
-            self.value[self.trail.pop()] = None
+                for p in parents[k]:
+                    if p >= size:
+                        break
+                    if value[p] is None:
+                        d, args = gates[p]
+                        if d is None:
+                            value[p] = not v
+                        elif d is v:
+                            value[p] = v
+                        else:
+                            for a in args:
+                                if value[a] is not v:
+                                    break
+                            else:
+                                value[p] = v
+                            if value[p] is None:
+                                continue
+                        trail.append(p)
+                        stack.append(p)
+            else:
+                i += 1
 
 
 def literal_sets(f: Formula) -> Iterator[Tuple[Tuple[Formula, bool], ...]]:
-    """The satisfying assignments of f's Boolean skeleton (`_ThreeValued`),
-    each as its (atom, truth) pairs in the order of the atoms' first
-    occurrence, and the assignments in the order of a binary count whose
-    most significant bit is the last atom. A depth-first search assigns
-    the atoms from the last down, False before True, and cuts a branch as
-    soon as the three-valued value of f is False; evaluating f under
-    every assignment gives the same sequence."""
-    skeleton = _ThreeValued(f)
-    letters = skeleton.letters
-    n = len(letters)
-    truth = [False] * n
-    tried = [0] * n      # values tried at each letter: none, False, both
-    marks = [0] * n
-    i = n - 1
-    while i < n:
-        if i < 0:
-            yield tuple(zip(letters, truth))
-            i = 0
-            continue
-        if tried[i] == 2:
-            skeleton.undo(marks[i])
-            tried[i] = 0
-            i += 1
-            continue
-        if tried[i] == 1:
-            skeleton.undo(marks[i])
+    """The satisfying assignments of f's Boolean skeleton, each as its
+    (atom, truth) pairs in the order of the atoms' first occurrence, and
+    the assignments in the order of a binary count whose most significant
+    bit is the last atom. The skeleton is read off f in one pass with an
+    explicit stack, as `KleeneGates`: structurally equal atoms are one
+    leaf, and `a -> b` is `!a | b`. Its search assigns the atoms from the
+    last down and cuts a branch as soon as the Kleene value of f is
+    False; evaluating f under every assignment gives the same sequence."""
+    gates = KleeneGates()
+    add = gates._add        # no constants, so every gate starts unknown
+    leaves: Dict[Formula, int] = {}
+    done: List[int] = []        # the gates of the operands read so far
+    stack: list = [f]           # formulas to read, and connectives to build
+    while stack:
+        g = stack.pop()
+        if g is And or g is Or:
+            b = done.pop()
+            done[-1] = add(g is Or, (done[-1], b), None)
+        elif g is Implies:
+            b = done.pop()
+            done[-1] = add(True, (add(None, (done[-1],), None), b), None)
+        elif g is Not:
+            done[-1] = add(None, (done[-1],), None)
         else:
-            marks[i] = len(skeleton.trail)
-        truth[i] = tried[i] == 1
-        tried[i] += 1
-        skeleton.assign(i, truth[i])
-        if skeleton.value[0] is not False:
-            i -= 1
+            kind = type(g)
+            if kind is And or kind is Or or kind is Implies:
+                stack += (kind, g.right, g.left)
+            elif kind is Not:
+                stack += (Not, g.arg)
+            elif kind in ATOM_CLASSES:
+                k = leaves.setdefault(g, len(gates.gates))
+                done.append(gates.leaf() if k == len(gates.gates) else k)
+            else:
+                raise FormulaError(f"not a formula: {g!r}")
+    atoms = list(leaves)
+    for truth in gates.search(list(leaves.values())[::-1],
+                              [gates.neg(done[0])]):
+        yield tuple(zip(atoms, reversed(truth)))
 
 
 # ---------------------------------------------------------------------------

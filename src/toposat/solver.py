@@ -31,23 +31,23 @@ search already meets a unit conflict before it searches any type, and
 `sat_bounded` takes neither, so that it stays the plain search.
 
 Both routes share one term compiler, `_Terms`, which turns a term once
-into functions of per-variable masks. Read at one point under a partial
-assignment (the type search, the hub check, the conn bounds), a term
-gives dual rails, a "surely in" and a "surely out" bit, which is
-Kleene's three-valued logic. Read over complete masks, of a quasi-saw's
-teeth (regular closed regions) or of all its points (the power-set
-classes), the out-rail is the complement of the in-rail. The normalized
-goal is compiled once per bounded run, its Boolean structure by one
-routine whatever reads its atoms, and one routine counts components. A
-quasi-saw leaf compiles only the top-level conjuncts the search does not
-already keep true (`_Prep`).
+into a function of per-variable masks: at one point of a complete type
+(the hub check, the conn bounds) it gives the point's 0/1 membership,
+and over the masks of a quasi-saw's teeth (regular closed regions) or
+of all its points (the power-set classes) the mask of the term's
+points. The normalized goal is compiled once per bounded run, its
+Boolean structure by one routine whatever reads its atoms, and one
+routine counts components. A quasi-saw leaf compiles only the
+top-level conjuncts the search does not already keep true (`_Prep`).
 
-The quasi-saw search repeats no work it can keep. The type search reads
-a check only on the watch list of the value that can make it true
-(`_ToothTypes`); the tooth search carries each variable's and each conn
-bound's support from one tooth to the next (`_place_teeth`); and the
-frames of each size, with their contexts, are listed once per process
-(`_frames_at`).
+One three-valued search, `formula.KleeneGates`, finds both the literal
+sets (watching the negated skeleton) and the tooth types (`_ToothTypes`,
+watching the checks and the negated wanted term).
+
+The quasi-saw search repeats no work it can keep. The tooth search
+carries each variable's and each conn bound's support from one tooth
+to the next (`_place_teeth`), and the frames of each size, with their
+contexts, are listed once per process (`_frames_at`).
 
 Every route leaves through one exit, `_result`, which re-checks a SAT
 certificate against the plain model checker; a result's completeness
@@ -59,7 +59,7 @@ import copy
 import itertools
 import math
 import time
-from functools import cached_property, reduce
+from functools import cached_property, partial, reduce
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -149,7 +149,7 @@ def _check_clock(deadline: Optional[float]):
 
 
 # ---------------------------------------------------------------------------
-# Dual-rail evaluation: one compiled form for every term and formula
+# Term evaluation: one compiled form for every term and formula
 
 def _zero(V, C):
     return 0
@@ -179,38 +179,23 @@ class _Terms:
     """Terms over one variable order, each compiled once into a function
     of an input (V, C). `_compile` walks the term; how the input is read
     gives the steps it combines (var, zero, one, join, meet, flip,
-    interior, closure). In dual-rail form a term gives two masks: the
-    points surely in it and the points surely out of it. On a complete
-    valuation the rails are complements; on a partial one they are
-    Kleene's three-valued membership. A complement swaps the rails, and
-    interior on one rail is closure on the other.
+    interior, closure).
 
-    This class reads one point under a partial assignment, in dual-rail
-    form: V and C are the masks of the variables assigned True and False,
-    a term compiles to its rails (yes, no), each rail is 0 or 1 and may
-    short-circuit, and interior and closure are transparent at a lone
-    point, as at a tooth."""
+    This class reads one point of a complete type: V is the mask of the
+    variables the type holds, C is unused, a term compiles to the point's
+    0/1 membership in it, and interior and closure are transparent at a
+    lone point, as at a tooth."""
 
-    zero, one = (_zero, _one), (_one, _zero)
-    flip = staticmethod(lambda a: a[::-1])
+    zero, one = staticmethod(_zero), staticmethod(_one)
+    join, meet = staticmethod(_either), staticmethod(_both)
+    var = staticmethod(lambda k: lambda V, C: V >> k & 1)
+    flip = staticmethod(lambda a: lambda V, C: 1 ^ a(V, C))
     interior = closure = staticmethod(lambda a: a)
 
     def __init__(self, var_index: Dict[str, int]):
         self.var_index = var_index
         self._vars = {v: self.var(k) for v, k in var_index.items()}
         self._compiled: Dict[F.Term, object] = {}
-
-    @staticmethod
-    def var(k: int):
-        return (lambda Y, N: Y >> k & 1), (lambda Y, N: N >> k & 1)
-
-    @staticmethod
-    def join(a, b):
-        return _either(a[0], b[0]), _both(a[1], b[1])
-
-    @staticmethod
-    def meet(a, b):
-        return _both(a[0], b[0]), _either(a[1], b[1])
 
     def __call__(self, t: F.Term):
         """Term t compiled, once for all terms equal to it. Compiling and
@@ -246,11 +231,10 @@ class _MaskTerms(_Terms):
     holds each variable's points as a mask over C.unit, which is the
     teeth for the regular closed classes, whose regions are their tooth
     supports, and every point for the power-set classes, the only ones
-    whose terms apply interior and closure. The valuation is complete,
-    so the out-rail is the complement of the in-rail: a term compiles to
-    its in-rail alone, and a complement takes the complement of it."""
+    whose terms apply interior and closure. A term compiles to the mask
+    of its points."""
 
-    zero, join, meet = staticmethod(_zero), staticmethod(_or), staticmethod(_and)
+    join, meet = staticmethod(_or), staticmethod(_and)
     var = staticmethod(lambda k: lambda V, C: V[k])
     one = staticmethod(lambda V, C: C.unit)
     flip = staticmethod(lambda a: lambda V, C: C.unit & ~a(V, C))
@@ -313,30 +297,6 @@ def _components(x: int, links: Iterable[int]) -> List[int]:
     return comps
 
 
-def _polarities(terms: Iterable[F.Term], var_index: Dict[str, int]
-                ) -> Dict[int, int]:
-    """Each variable of the terms, by index, with the values that can
-    raise them at a point: bit 1 when the variable occurs under an even
-    number of complements, where True raises the term, and bit 0 when it
-    occurs under an odd number, where False does."""
-    polarity: Dict[int, int] = {}
-    stack = [(t, 0) for t in terms]
-    while stack:
-        s, odd = stack.pop()
-        kind = type(s)
-        if kind is F.Var:
-            i = var_index[s.name]
-            polarity[i] = polarity.get(i, 0) | 2 >> odd
-        elif kind in (F.Compl, F.SetCompl):
-            stack.append((s.arg, 1 - odd))
-        elif kind in (F.Interior, F.Closure):
-            stack.append((s.arg, odd))
-        elif kind in (F.Sum, F.Prod, F.Union, F.Inter):
-            stack.append((s.left, odd))
-            stack.append((s.right, odd))
-    return polarity
-
-
 _DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
@@ -353,22 +313,23 @@ class _HubCheck:
     A hub sees contact s when for every position one of its teeth has
     bit s there; a forbidden contact seen is violated. Each position
     keeps one term per contact, the last contact first, and a type's
-    masks are read off the flags of those terms at once, so time and
-    memory are linear in the number of contacts."""
+    masks are read off those terms' 0/1 memberships at a point of the
+    type (`_Terms`) at once, so time and memory are linear in the number
+    of contacts."""
 
     def __init__(self, contacts: Sequence[Sequence[F.Term]], point: _Terms):
         width = max(map(len, contacts), default=0)
         last_first = contacts[::-1]
         self.pad = [_bits(len(sigma) <= r for sigma in last_first)
                     for r in range(width)]
-        self.terms = [[point(sigma[r])[0] if r < len(sigma) else _zero
+        self.terms = [[point(sigma[r]) if r < len(sigma) else _zero
                        for sigma in last_first] for r in range(width)]
         self._masks: Dict[int, List[int]] = {}
 
     def masks(self, m: int) -> List[int]:
         got = self._masks.get(m)
-        if got is None:     # type m: the variables outside m are False
-            got = self._masks[m] = [_bits(y(m, ~m) for y in terms)
+        if got is None:
+            got = self._masks[m] = [_bits(y(m, None) for y in terms)
                                     for terms in self.terms]
         return got
 
@@ -387,65 +348,39 @@ class _HubCheck:
         return self.seen(types) != 0
 
 
-class _ToothTypes:
+class _ToothTypes(_Terms):
     """Depth-0 point types avoiding every zero term and every forbidden
-    contact realized at a single point, found on demand. The search
-    assigns variable bits in index order, False before True, and cuts a
-    branch once a violation is forced or the wanted term is surely
-    missed, by dual-rail evaluation of the partial type. Whether a prefix
-    of bits forces a violation is kept across searches, and each wanted
-    term's types are drawn once and kept, because `_find_fork` backtracks
-    over them. Past `deadline` (a `time.monotonic()` reading, or None)
-    the checks' compilation and the search raise `_Timeout`.
-
-    A check (a zero term, or the terms of a forbidden contact) is
-    violated when the point surely lies in it, and each variable keeps
-    one watch list per value: a node that sets variable i reads only the
-    checks on the list of the value it sets. Kleene's dual-rail
-    evaluation is monotone in the truth order F < U < T in a variable
-    that occurs under an even number of complements, antitone in one
-    under an odd number, and interior and closure are transparent at a
-    point. So setting a variable to a value that can only lower a check
-    cannot make it surely violated; a check goes on the True list of
-    the variables it has under an even number of complements and on the
-    False list of those under an odd number. Every check not violated
-    before a node is then read exactly where it can turn violated, which
-    cuts the same branches as reading every check of the variable. A
-    check already violated with every variable unknown goes on both
-    lists of each of its variables, which cuts where the full reading
-    would: at the first of them assigned."""
+    contact realized at a single point, found on demand. Terms compile
+    as in `_Terms` into gates of one `formula.KleeneGates` (`dag`), each
+    variable a leaf, equal terms one gate, interior and closure
+    transparent at a point. Each check (a zero term, or the conjunction
+    of a forbidden contact's terms) is a gate. The search for a term's
+    types assigns variable 0 first, and cuts once a check or the term's
+    negation is forced True. Each wanted term's types are drawn once and
+    kept, because `_find_fork` backtracks over them. Past `deadline` (a
+    `time.monotonic()` reading, or None) the checks' compilation and the
+    search raise `_Timeout`."""
 
     def __init__(self, point: _Terms, zero_terms: Sequence[F.Term],
                  ncontact_terms: Sequence[Sequence[F.Term]],
                  deadline: Optional[float]):
-        self.point = point
-        var_index = self.var_index = point.var_index
-        self.deadline = deadline
-        self.nodes = 0
+        dag = self.dag = F.KleeneGates()
+        self.var = lambda k: dag.leaf()
+        self.zero, self.one = dag.join(), dag.meet()
+        self.join, self.meet, self.flip = dag.join, dag.meet, dag.neg
+        super().__init__(point.var_index)
+        self.leaves = list(self._vars.values())
+        self.weights = [1 << k for k in range(len(self.leaves))]
+        self.tick = None if deadline is None else partial(_check_clock, deadline)
         self._found: Dict[F.Term, Iterator[int]] = {}
-        self._dead: Dict[Tuple[int, int], bool] = {}
-        # watch[i][b]: the checks variable i set to b can make violated
-        self.watch: List[Tuple[List[Callable], List[Callable]]] = [
-            ([], []) for _ in var_index]
-        self.blocked = False
+        self.checks = []
         for check in [[t] for t in zero_terms] + [list(s) for s in ncontact_terms]:
             _check_clock(deadline)
-            at = _polarities(check, var_index)
-            # whether the point surely lies in every term of the check
-            fn = reduce(_both, [point(t)[0] for t in check])
-            violated = bool(fn(0, 0))
-            if not at:
-                self.blocked = self.blocked or violated
-            for i, values in at.items():
-                for b in (0, 1):
-                    if violated or values >> b & 1:
-                        self.watch[i][b].append(fn)
+            self.checks.append(dag.meet(*map(self, check)))
 
-    def _cut(self, i: int, yes: int, no: int) -> bool:
-        for check in self.watch[i][yes >> i & 1]:
-            if check(yes, no):
-                return True
-        return False
+    @property
+    def nodes(self) -> int:
+        return self.dag.nodes
 
     def of(self, want: F.Term) -> Iterator[int]:
         """The types in `want`, in search order, from the first on. All
@@ -458,40 +393,12 @@ class _ToothTypes:
 
     def search(self, want: Optional[F.Term]) -> Iterator[int]:
         """The types in `want` (every type for None), in search order."""
-        v = len(self.var_index)
-        deadline = self.deadline
-        wanted, missed = {}, None
+        watched = list(self.checks)
         if want is not None:
-            wanted = _polarities([want], self.var_index)
-            missed = self.point(want)[1]
-        if self.blocked or (missed is not None and missed(0, 0)):
-            return
-        tried = [0] * v      # values tried at each bit: none, False, both
-        prefix = 0           # the bits assigned True, as a mask
-        i = 0
-        while i >= 0:
-            if i == v:
-                yield prefix
-                i -= 1
-                continue
-            if tried[i] == 2:
-                tried[i] = 0
-                prefix &= ~(1 << i)
-                i -= 1
-                continue
-            prefix |= tried[i] << i
-            tried[i] += 1
-            self.nodes += 1
-            _check_clock(deadline)
-            no = ((2 << i) - 1) & ~prefix
-            dead = self._dead.get((i, prefix))
-            if dead is None:
-                dead = self._dead[i, prefix] = self._cut(i, prefix, no)
-            if dead:
-                continue
-            if i in wanted and missed(prefix, no):
-                continue
-            i += 1
+            watched.append(self.flip(self(want)))
+        weights = self.weights
+        return map(lambda truth: sum(itertools.compress(weights, truth)),
+                   self.dag.search(self.leaves, watched, self.tick))
 
 
 def _admissible_types(point: _Terms, zero_terms: Sequence[F.Term],
@@ -843,8 +750,9 @@ class _Prep:
       hands each hub to `hub.sees` once, at the tooth that completes
       it (`_SawCtx.hubs_done_at`). Contacts reach the regular-closed
       classes only.
-    - `conn`/`conn_le` in the regular-closed classes (`conn_bounds`):
-      `fits` runs `sealed_ok` at every tooth, and at the last one every
+    - `conn`/`conn_le` in the regular-closed classes (`conn_bounds`,
+      each its term's membership at a point of a type, as `point`
+      reads it, and its bound): `fits` runs `sealed_ok` at every tooth, and at the last one every
       hub links its teeth and every tooth is sealed, so it counts every
       component of the term's support.
     Each of them is also true in the empty space, so `goal` over an
@@ -875,7 +783,7 @@ class _Prep:
                 self.ncontact_terms.append(g.arg.terms)
             elif isinstance(g, (Conn, ConnLe)) and not whole:
                 self.conn_bounds.append(
-                    (self.point(g.term)[0],
+                    (self.point(g.term),
                      g.k if isinstance(g, ConnLe) else 1))
             else:
                 self.rest.append(g)
@@ -911,7 +819,7 @@ class _Prep:
                                       self.ncontact_terms, self.deadline)
             self.inside = {m: sum(1 << c for c, (y, _) in
                                   enumerate(self.conn_bounds)
-                                  if y(m, ~m)) for m in types}
+                                  if y(m, None)) for m in types}
             n = len(self.variables)
             self.marks = {m: [k for k in range(n) if m >> k & 1]
                           + [n + c for c in range(len(self.conn_bounds))
@@ -1106,9 +1014,9 @@ class _FenceSteps:
         self.goal = _goal(prep.normal, atom)
         point = prep.point
         self.touch = _HubCheck([a.terms for a in contacts], point)
-        self.sides = [(point(a.left)[0], point(a.right)[0], bits[id(a)])
+        self.sides = [(point(a.left), point(a.right), bits[id(a)])
                       for a in diffs]
-        self.in_run = [point(a.term)[0] for a in runs]
+        self.in_run = [point(a.term) for a in runs]
         self.start = (None, 0, (0,) * len(runs))    # the empty fence
         self._after: Dict[Optional[int], List[Tuple[int, int, int]]] = {}
 
@@ -1126,9 +1034,9 @@ class _FenceSteps:
         if last is None:    # the first step of every sweep tabulates types
             self.alone = {m: self.touch.seen([m]) | sum(
                 1 << bit for yl, yr, bit in self.sides
-                if bool(yl(m, ~m)) != bool(yr(m, ~m))) for m in types}
+                if yl(m, None) != yr(m, None)) for m in types}
             self.inside = {m: sum(1 << c for c, y in enumerate(self.in_run)
-                                  if y(m, ~m)) for m in types}
+                                  if y(m, None)) for m in types}
             return [(m, self.alone[m], self.inside[m]) for m in types]
         return [(m, self.alone[m] | self.touch.seen([last, m]),
                  self.inside[m] & ~self.inside[last])

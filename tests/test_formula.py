@@ -9,6 +9,7 @@ When parse outcomes change on purpose, write the file again with
 """
 
 import hashlib
+import itertools
 import json
 import random
 import sys
@@ -433,6 +434,101 @@ def test_literal_sets_of_a_deep_skeleton():
     for _ in range(2500):
         f = Not(Implies(f, b))
     assert list(F.literal_sets(f)) == [((a, True), (b, False))]
+
+
+def _rand_gates(rng, leaves, count):
+    """A `KleeneGates` with `leaves` leaves, the two constants and `count`
+    random gates over earlier ones, which often share operands; and each
+    gate as an expression for `_kleene`: ("leaf", i), ("const", b),
+    ("not", e), ("and", es) or ("or", es)."""
+    gates = F.KleeneGates()
+    made = [(("leaf", i), gates.leaf()) for i in range(leaves)]
+    made += [(("const", True), gates.meet()), (("const", False), gates.join())]
+    for _ in range(count):
+        op = rng.choice(["not", "and", "or"])
+        picks = [rng.choice(made) for _ in range(1 if op == "not" else
+                                                 rng.randint(1, 3))]
+        build = {"not": gates.neg, "and": gates.meet, "or": gates.join}[op]
+        made.append(((op, tuple(e for e, _ in picks)),
+                     build(*(k for _, k in picks))))
+    return gates, made
+
+
+def _kleene(e, known):
+    """The Kleene value of expression e when leaf i is known[i] or, when
+    absent, unknown; evaluated from scratch."""
+    op = e[0]
+    if op == "leaf":
+        return known.get(e[1])
+    if op == "const":
+        return e[1]
+    values = [_kleene(x, known) for x in e[1]]
+    if op == "not":
+        return None if values[0] is None else not values[0]
+    decider = op == "or"        # the value that decides the gate alone
+    if decider in values:
+        return decider
+    return None if None in values else not decider
+
+
+def _brute_search(made, order, watched):
+    """What `KleeneGates.search` must give, by brute force: the complete
+    assignments, in search order, under which no watched expression is
+    True, and the node count of a search that tries a value after every
+    prefix whose Kleene value forces no watched expression True."""
+    n = len(order)
+
+    def forced(prefix):
+        known = {order[i]: b for i, b in enumerate(prefix)}
+        return any(_kleene(made[w][0], known) is True for w in watched)
+
+    values = (False, True)
+    if forced(()):
+        return [], 0
+    nodes = sum(not forced(prefix[:-1]) for size in range(1, n + 1)
+                for prefix in itertools.product(values, repeat=size))
+    return [list(a) for a in itertools.product(values, repeat=n)
+            if not forced(a)], nodes
+
+
+def test_kleene_search_matches_brute_force(rng):
+    for _ in range(300):
+        leaves = rng.randint(0, 5)
+        gates, made = _rand_gates(rng, leaves, rng.randint(0, 12))
+        order = rng.sample(range(leaves), leaves)
+        watched = rng.sample(range(len(made)), rng.randint(0, 3))
+        ticks = []
+        got = [list(a) for a in gates.search(
+            [made[i][1] for i in order], [made[w][1] for w in watched],
+            lambda: ticks.append(1))]
+        assert (got, gates.nodes) == _brute_search(made, order, watched)
+        assert len(ticks) == gates.nodes
+
+
+def test_kleene_searches_interleave(rng):
+    """Two searches over one DAG, stepped in turn, with a gate made
+    between their steps, each give what they give alone."""
+    for _ in range(100):
+        gates, made = _rand_gates(rng, 4, rng.randint(0, 12))
+        runs = []
+        for _ in range(2):
+            order = [made[i][1] for i in rng.sample(range(4), 4)]
+            watched = [made[w][1] for w in rng.sample(range(len(made)), 2)]
+            alone = [list(a) for a in gates.search(order, watched)]
+            runs.append((gates.search(order, watched), alone, []))
+        while any(it is not None for it, _, _ in runs):
+            for r, (it, alone, got) in enumerate(runs):
+                if it is None:
+                    continue
+                a = next(it, None)
+                if a is None:
+                    runs[r] = (None, alone, got)
+                    assert got == alone
+                else:
+                    got.append(list(a))
+                # a gate over a leaf both searches assign, and its negation
+                k = gates.meet(made[rng.randrange(4)][1], rng.choice(made)[1])
+                gates.neg(k)
 
 
 def test_contact_arity_guard():

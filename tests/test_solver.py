@@ -454,21 +454,59 @@ def test_tooth_types_nested_iteration():
     assert again == [(m, n) for m in list(fresh.of(a)) for n in list(fresh.of(a))]
 
 
-class _ReadEveryCheck(_ToothTypes):
-    """Reference for `_ToothTypes`: a node that sets variable i reads
-    every check in which i occurs, whatever value i takes."""
+def _kleene_at(t, known, var_index):
+    """The Kleene value of a point's membership in t, where `known` maps
+    a variable's index to its truth and leaves the others unknown;
+    interior and closure are transparent at a point."""
+    kind = type(t)
+    if kind is Var:
+        return known.get(var_index[t.name])
+    if kind in (F.Zero, F.One):
+        return kind is F.One
+    if kind in (F.Interior, F.Closure):
+        return _kleene_at(t.arg, known, var_index)
+    if kind in (F.Compl, F.SetCompl):
+        a = _kleene_at(t.arg, known, var_index)
+        return None if a is None else not a
+    a = _kleene_at(t.left, known, var_index)
+    b = _kleene_at(t.right, known, var_index)
+    decider = kind in (F.Sum, F.Union)      # True decides a join
+    if decider in (a, b):
+        return decider
+    return None if None in (a, b) else not decider
 
-    def __init__(self, point, zeros, ncontacts, deadline):
-        super().__init__(point, zeros, ncontacts, deadline)
-        self.every = [[] for _ in point.var_index]
-        for check in [[t] for t in zeros] + [list(c) for c in ncontacts]:
-            for i in {point.var_index[x.name] for t in check
-                      for x in F.subterms(t) if isinstance(x, Var)}:
-                self.every[i].append(check)
 
-    def _cut(self, i, yes, no):
-        return any(all(self.point(t)[0](yes, no) for t in check)
-                   for check in self.every[i])
+def _reference_types(var_index, zeros, ncontacts, want):
+    """Reference for `_ToothTypes.search`: the types and the node count of
+    a depth-first search that assigns variable 0 first, False before
+    True, and re-evaluates every check and the want from scratch at every
+    node, cutting once a check is surely violated or the want surely
+    missed."""
+
+    def cut(known):
+        at = lambda t: _kleene_at(t, known, var_index)
+        return (any(at(z) is True for z in zeros)
+                or any(all(at(t) is True for t in sigma) for sigma in ncontacts)
+                or (want is not None and at(want) is False))
+
+    types, nodes = [], 0
+    v = len(var_index)
+
+    def go(i, known):
+        nonlocal nodes
+        if i == v:
+            types.append(sum(1 << k for k, b in known.items() if b))
+            return
+        for b in (False, True):
+            nodes += 1
+            known[i] = b
+            if not cut(known):
+                go(i + 1, known)
+        del known[i]
+
+    if not cut({}):
+        go(0, {})
+    return types, nodes
 
 
 def _rand_point_term(rng, names):
@@ -485,10 +523,10 @@ def _rand_point_term(rng, names):
         lambda: F.Compl(F.Sum(rand_b_term(rng, names, 2), Zero()))])()
 
 
-def test_tooth_types_read_each_check_where_it_can_turn_true(rng):
-    """Reading a check only on the watch list of the value that can raise
-    it lists the same types in the same order, with the same nodes, as
-    reading every check of the variable set."""
+def test_tooth_types_match_a_search_that_reads_every_check(rng):
+    """`_ToothTypes` lists the same types in the same order, with the same
+    nodes, as a search that re-evaluates every check and the want at
+    every node; the checks include terms that are true everywhere."""
     for _ in range(300):
         names = ["a", "b", "c", "d"][:rng.randint(1, 4)]
         var_index = {v: i for i, v in enumerate(names)}
@@ -496,14 +534,37 @@ def test_tooth_types_read_each_check_where_it_can_turn_true(rng):
         ncontacts = [tuple(_rand_point_term(rng, names)
                            for _ in range(rng.randint(1, 3)))
                      for _ in range(rng.randint(0, 3))]
-        fast = _ToothTypes(_Terms(var_index), zeros, ncontacts, None)
-        slow = _ReadEveryCheck(_Terms(var_index), zeros, ncontacts, None)
-        assert list(fast.search(None)) == list(slow.search(None))
-        assert fast.nodes == slow.nodes
+        types = _ToothTypes(_Terms(var_index), zeros, ncontacts, None)
+        want_types, nodes = _reference_types(var_index, zeros, ncontacts, None)
+        assert list(types.search(None)) == want_types
+        assert types.nodes == nodes
+        searched = set()
         for _ in range(3):
             want = _rand_point_term(rng, names)
-            assert list(fast.of(want)) == list(slow.of(want))
-            assert fast.nodes == slow.nodes
+            want_types, more = _reference_types(var_index, zeros, ncontacts, want)
+            assert list(types.of(want)) == want_types
+            if want not in searched:    # `of` searches each term once
+                searched.add(want)
+                nodes += more
+            assert types.nodes == nodes
+
+
+def test_tooth_types_of_a_want_false_everywhere():
+    """A want that no point lies in, before any variable is set, yields
+    nothing and counts no node."""
+    var_index = {"a": 0, "b": 1}
+    types = _ToothTypes(_Terms(var_index), [], [], None)
+    for want in (Zero(), F.Prod(Var("a"), Zero()), F.Compl(F.Sum(Var("b"), F.One()))):
+        assert list(types.of(want)) == []
+    assert types.nodes == 0
+    assert list(types.of(Var("a"))) == [1, 3] and types.nodes == 4
+
+
+def test_a_check_true_everywhere_ends_the_fork_search_at_once():
+    # `a + 1` is true at every point before any variable is set, so the
+    # literal set's type search counts no node: one node, the literal set
+    r = solve(parse("C(b, c) & a + 1 = 0"), "regc")
+    assert (r.status, r.method, r.stats["nodes"]) == ("UNSAT", "forks", 1)
 
 
 def test_hub_check_masks_match_one_int_per_contact(rng):
@@ -525,7 +586,7 @@ def test_hub_check_masks_match_one_int_per_contact(rng):
         for m in range(1 << len(names)):
             assert hub.masks(m) == [
                 sum(1 << s for s, sigma in enumerate(contacts)
-                    if r < len(sigma) and point(sigma[r])[0](m, ~m))
+                    if r < len(sigma) and point(sigma[r])(m, None))
                 for r in range(width)]
 
 
