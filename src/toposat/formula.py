@@ -5,6 +5,12 @@ Two term families share one grammar: the regular-closed algebra
 (Sum/Prod/Compl, written + * -) and raw set operators
 (Union/Inter/SetCompl/Interior/Closure, written v ^ ~ int cl).
 Mixing the two families inside one formula is rejected.
+
+`fold` is the one walk over a formula's Boolean structure (!, &, |, ->)
+that every pass rewriting or compiling it runs on: the skeleton here,
+the rewrites of `transform` and the goals of `solver`. It keeps its own
+stack, so no pass that uses it recurses however deep the connectives
+nest. The printer and the model checker walk formulas on their own.
 """
 
 import itertools
@@ -282,6 +288,43 @@ def operands(g: Formula, cls) -> List[Formula]:
     return out
 
 
+def fold(f: Formula, atom: Callable, make: Callable,
+         at: Optional[Callable] = None):
+    """The value of f built bottom-up over its Boolean structure, with an
+    explicit stack, so however deep !, &, | and -> nest. Each node is
+    read with its polarity: True at f, flipped under ! and on the left
+    of ->. Nodes are read in left-to-right preorder; at(g, positive), if
+    given, is called on each node as it is read, and a value other than
+    None is g's value, its inside not read. Otherwise an atom's value is
+    atom(g, positive) and a connective's make(g, positive, *values), its
+    operands' values in order, so make may hand back g itself when they
+    are its operands. A node that is no formula raises FormulaError."""
+    values: list = []
+    stack: list = [(f, True, None)]    # (node, polarity, class once read)
+    pop = stack.pop
+    while stack:
+        g, positive, kind = pop()
+        if kind is Not:
+            values[-1] = make(g, positive, values[-1])
+        elif kind is not None:
+            right = values.pop()
+            values[-1] = make(g, positive, values[-1], right)
+        elif at is not None and (value := at(g, positive)) is not None:
+            values.append(value)
+        else:
+            kind = type(g)
+            if kind is And or kind is Or or kind is Implies:
+                stack += ((g, positive, kind), (g.right, positive, None),
+                          (g.left, positive != (kind is Implies), None))
+            elif kind is Not:
+                stack += ((g, positive, kind), (g.arg, not positive, None))
+            elif kind in ATOM_CLASSES:
+                values.append(atom(g, positive))
+            else:
+                raise FormulaError(f"not a formula: {g!r}")
+    return values[0]
+
+
 def terms_of_atom(a: Formula) -> Tuple[Term, ...]:
     if isinstance(a, Eq):
         return (a.left, a.right)
@@ -549,40 +592,31 @@ def literal_sets(f: Formula) -> Iterator[Tuple[Tuple[Formula, bool], ...]]:
     """The satisfying assignments of f's Boolean skeleton, each as its
     (atom, truth) pairs in the order of the atoms' first occurrence, and
     the assignments in the order of a binary count whose most significant
-    bit is the last atom. The skeleton is read off f in one pass with an
-    explicit stack, as `KleeneGates`: structurally equal atoms are one
-    leaf, and `a -> b` is `!a | b`. Its search assigns the atoms from the
-    last down and cuts a branch as soon as the Kleene value of f is
-    False; evaluating f under every assignment gives the same sequence."""
+    bit is the last atom. The skeleton is read off f by `fold` into
+    `KleeneGates`: structurally equal atoms are one leaf, and `a -> b` is
+    `!a | b`. Its search assigns the atoms from the last down and cuts a
+    branch as soon as the Kleene value of f is False; evaluating f under
+    every assignment gives the same sequence."""
     gates = KleeneGates()
     add = gates._add        # no constants, so every gate starts unknown
     leaves: Dict[Formula, int] = {}
-    done: List[int] = []        # the gates of the operands read so far
-    stack: list = [f]           # formulas to read, and connectives to build
-    while stack:
-        g = stack.pop()
-        if g is And or g is Or:
-            b = done.pop()
-            done[-1] = add(g is Or, (done[-1], b), None)
-        elif g is Implies:
-            b = done.pop()
-            done[-1] = add(True, (add(None, (done[-1],), None), b), None)
-        elif g is Not:
-            done[-1] = add(None, (done[-1],), None)
-        else:
-            kind = type(g)
-            if kind is And or kind is Or or kind is Implies:
-                stack += (kind, g.right, g.left)
-            elif kind is Not:
-                stack += (Not, g.arg)
-            elif kind in ATOM_CLASSES:
-                k = leaves.setdefault(g, len(gates.gates))
-                done.append(gates.leaf() if k == len(gates.gates) else k)
-            else:
-                raise FormulaError(f"not a formula: {g!r}")
+
+    def leaf(a, _):
+        k = leaves.setdefault(a, len(gates.gates))
+        return gates.leaf() if k == len(gates.gates) else k
+
+    def gate(g, _, a, b=None):
+        kind = type(g)
+        if kind is Not:
+            return add(None, (a,), None)
+        if kind is Implies:
+            a = add(None, (a,), None)
+        return add(kind is not And, (a, b), None)
+
+    root = fold(f, leaf, gate)
     atoms = list(leaves)
     for truth in gates.search(list(leaves.values())[::-1],
-                              [gates.neg(done[0])]):
+                              [gates.neg(root)]):
         yield tuple(zip(atoms, reversed(truth)))
 
 
@@ -979,12 +1013,17 @@ def print_formula(f: Formula) -> str:
         if kind is ConnLe:
             return f"conn_le({g.k}, {_print_term(g.term, 0)})"
         if kind is Not:
+            bangs = ""      # a run of ! is read in a loop, however long
+            while type(g.arg) is Not:
+                bangs += "!"
+                g = g.arg
             arg = g.arg
             if type(arg) is Eq:
-                return _print_term(arg.left, 0) + " != " + _print_term(arg.right, 0)
-            if isinstance(arg, ATOM_CLASSES) or type(arg) is Not:
-                return "!" + go(arg, 0)
-            return "!(" + go(arg, 0) + ")"
+                return (bangs + _print_term(arg.left, 0) + " != "
+                        + _print_term(arg.right, 0))
+            if isinstance(arg, ATOM_CLASSES):
+                return bangs + "!" + go(arg, 0)
+            return bangs + "!(" + go(arg, 0) + ")"
         prec = _FORMULA_PREC.get(kind, 0)
         # & and | are associative, so a chain prints flat however it nests
         if kind is And or kind is Or:

@@ -122,8 +122,8 @@ def holds(model: Model, f: F.Formula, trace: bool = False) -> Verdict:
     """The truth of f in model, each distinct subterm (by identity)
     evaluated once. Without `trace`, And and Or stop at the first operand
     that decides them; with it, every atom is evaluated and the verdict's
-    `trace` maps each atom to its truth. And and Or chains are walked
-    without recursion, however long."""
+    `trace` maps each atom to its truth. And and Or chains, and runs of
+    !, are walked without recursion, however long."""
     check_family(model, f)
     record = {} if trace else None
     memo: Dict[int, PointSet] = {}
@@ -145,7 +145,10 @@ def holds(model: Model, f: F.Formula, trace: bool = False) -> Verdict:
                     value = decisive
             return value
         if isinstance(g, F.Not):
-            return not go(g.arg)
+            flip = False        # a run of ! is read in a loop
+            while isinstance(g, F.Not):
+                flip, g = not flip, g.arg
+            return go(g) != flip
         if isinstance(g, F.Implies):
             left = go(g.left)
             right = go(g.right)

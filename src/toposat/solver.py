@@ -246,15 +246,21 @@ def _goal(g: Formula, atom: Callable) -> Callable:
     """A normalized goal (negation on atoms only, no implications, no
     relation atoms) as one function of (V, C); `atom` compiles each atom
     into one."""
-    if isinstance(g, (And, F.Or)):
-        a, b = _goal(g.left, atom), _goal(g.right, atom)
-        return (_both if isinstance(g, And) else _either)(a, b)
-    if isinstance(g, Not):
-        a = _goal(g.arg, atom)
-        return lambda V, C: not a(V, C)
-    if isinstance(g, (Eq, Contact, Conn, ConnLe)):
-        return atom(g)
-    raise SolverError(f"not a normalized formula: {g!r}")
+
+    def leaf(a, _):
+        if isinstance(a, F.Rcc8):
+            raise SolverError(f"not a normalized formula: {a!r}")
+        return atom(a)
+
+    def node(h, _, a, b=None):
+        kind = type(h)
+        if kind is Not:
+            return lambda V, C: not a(V, C)
+        if kind is F.Implies:
+            raise SolverError(f"not a normalized formula: {h!r}")
+        return (_both if kind is And else _either)(a, b)
+
+    return F.fold(g, leaf, node)
 
 
 def _mask_atom(terms: _MaskTerms) -> Callable:
@@ -1140,16 +1146,20 @@ def _relaxed(g: Formula) -> Optional[Formula]:
     either polarity read as true; None when all of g is. Negation sits on
     atoms only, so g is monotone in its literals and implies the result:
     every model of g is one of its relaxation."""
-    if isinstance(g, (And, F.Or)):
-        a, b = _relaxed(g.left), _relaxed(g.right)
-        if a is g.left and b is g.right:
-            return g
-        if isinstance(g, F.Or):
+
+    def leaf(a, _):
+        return None if isinstance(a, (Conn, ConnLe)) else a
+
+    def node(h, _, a, b=None):
+        if type(h) is Not:
+            return None if a is None else h
+        if a is h.left and b is h.right:
+            return h
+        if type(h) is F.Or:
             return None if a is None or b is None else F.Or(a, b)
         return b if a is None else a if b is None else And(a, b)
-    if isinstance(g.arg if isinstance(g, Not) else g, (Conn, ConnLe)):
-        return None
-    return g
+
+    return F.fold(g, leaf, node)
 
 
 def _relaxation_refuted(prep: _Prep) -> Tuple[bool, int]:

@@ -4,6 +4,10 @@ Covers: the binary-relation atoms to contact rewrite, the embedding of
 regular-closed terms into raw set terms via cl(int(.)), positive-count
 elimination, both contact-elimination lemmas with relativization, and
 the future-past temporal translation with its fence-cell semantics.
+
+Every rewrite of a formula's Boolean structure is one `formula.fold`,
+so none recurses over !, &, | or ->, and a subformula it leaves as it
+is is kept, not copied. Terms are still walked recursively.
 """
 
 from dataclasses import dataclass
@@ -44,70 +48,62 @@ class FreshVars:
 # ---------------------------------------------------------------------------
 # Generic formula surgery
 
-def _map_atoms(f: Formula, fn) -> Formula:
-    if isinstance(f, F.ATOM_CLASSES):
-        return fn(f)
-    if isinstance(f, Not):
-        return Not(_map_atoms(f.arg, fn))
-    if isinstance(f, And):
-        return And(_map_atoms(f.left, fn), _map_atoms(f.right, fn))
-    if isinstance(f, Or):
-        return Or(_map_atoms(f.left, fn), _map_atoms(f.right, fn))
-    if isinstance(f, Implies):
-        return Implies(_map_atoms(f.left, fn), _map_atoms(f.right, fn))
-    raise TransformError(f"not a formula: {f!r}")
+def _rebuild(g: Formula, _, a: Formula, b: Optional[Formula] = None
+             ) -> Formula:
+    """Connective g over the operands a (and b), for `F.fold`: g itself
+    when they are its own, so an unchanged subformula is not copied."""
+    if type(g) is Not:
+        return g if a is g.arg else Not(a)
+    return g if a is g.left and b is g.right else type(g)(a, b)
 
 
 def replace_occurrence(f: Formula, pred, builder) -> Formula:
-    """Replace every node matching pred(node, polarity) by builder(node),
-    called on the matches in preorder; polarity is 1 at the root and
-    flips under `!` and left of `->`. The inside of a match is not
-    searched. Raises if nothing matches."""
-    done = [False]
+    """Replace every node matching pred(node, positive) by builder(node),
+    called on the matches in preorder; the polarity `positive` is as
+    `F.fold` reads it, True at the root and flipped under `!` and left
+    of `->`. The inside of a match is not searched. Raises if nothing
+    matches."""
+    matched = []
 
-    def go(g, polarity):
-        if pred(g, polarity):
-            done[0] = True
+    def at(g, positive):
+        if pred(g, positive):
+            matched.append(g)
             return builder(g)
-        if isinstance(g, F.ATOM_CLASSES):
-            return g
-        if isinstance(g, Not):
-            return Not(go(g.arg, -polarity))
-        if isinstance(g, And):
-            return And(go(g.left, polarity), go(g.right, polarity))
-        if isinstance(g, Or):
-            return Or(go(g.left, polarity), go(g.right, polarity))
-        if isinstance(g, Implies):
-            return Implies(go(g.left, -polarity), go(g.right, polarity))
-        raise TransformError(f"not a formula: {g!r}")
 
-    out = go(f, 1)
-    if not done[0]:
+    out = F.fold(f, lambda a, _: a, _rebuild, at)
+    if not matched:
         raise TransformError("no matching occurrence")
     return out
 
 
+def _nnf_literal(g: Formula, positive: bool) -> Optional[Formula]:
+    """The negation normal form of g read with its polarity when g is an
+    atom or a negated atom, g itself where it is its own form; None for
+    any other node."""
+    if type(g) is Not and type(g.arg) in F.ATOM_CLASSES:
+        return g if positive else g.arg
+    if type(g) in F.ATOM_CLASSES:
+        return g if positive else Not(g)
+    return None
+
+
+def _nnf_node(g: Formula, positive: bool, a: Formula,
+              b: Optional[Formula] = None) -> Formula:
+    """A connective g in negation normal form, over its operands' forms,
+    which `F.fold` read with g's polarity or its flip: a ! is dropped, a
+    positive & and a negative | or -> become &, the rest |; g itself
+    when that is its own form."""
+    if type(g) is Not:
+        return a
+    cls = And if (type(g) is And) == positive else Or
+    return g if cls is type(g) and a is g.left and b is g.right else cls(a, b)
+
+
 def nnf(f: Formula) -> Formula:
-    """Negation normal form: negation only on atoms, no implications."""
-
-    def go(g, positive):
-        if isinstance(g, F.ATOM_CLASSES):
-            return g if positive else Not(g)
-        if isinstance(g, Not):
-            return go(g.arg, not positive)
-        if isinstance(g, And):
-            cls = And if positive else Or
-            return cls(go(g.left, positive), go(g.right, positive))
-        if isinstance(g, Or):
-            cls = Or if positive else And
-            return cls(go(g.left, positive), go(g.right, positive))
-        if isinstance(g, Implies):
-            if positive:
-                return Or(go(g.left, False), go(g.right, True))
-            return And(go(g.left, True), go(g.right, False))
-        raise TransformError(f"not a formula: {g!r}")
-
-    return go(f, True)
+    """Negation normal form: negation only on atoms, no implications.
+    Literals are read whole (`_nnf_literal`), and a subformula already in
+    that form is kept, not copied."""
+    return F.fold(f, _nnf_literal, _nnf_node, _nnf_literal)
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +112,7 @@ def nnf(f: Formula) -> Formula:
 def rcc8_to_c(f: Formula) -> Formula:
     """Expand every binary-relation atom into contact/equality form."""
 
-    def expand(a):
+    def expand(a, _):
         if not isinstance(a, Rcc8):
             return a
         t1, t2 = a.left, a.right
@@ -141,7 +137,7 @@ def rcc8_to_c(f: Formula) -> Formula:
             return And(Not(Contact((t1, Compl(t2)))), Not(F.leq(t2, t1)))
         raise TransformError(f"unknown relation {rel!r}")
 
-    return _map_atoms(f, expand)
+    return F.fold(f, expand, _rebuild)
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +165,7 @@ def dagger(f: Formula) -> Formula:
         raise TransformError("input already uses set operators")
     f = rcc8_to_c(f)
 
-    def expand(a):
+    def expand(a, _):
         if isinstance(a, Eq):
             return Eq(dagger_term(a.left), dagger_term(a.right))
         if isinstance(a, Contact):
@@ -183,7 +179,7 @@ def dagger(f: Formula) -> Formula:
             return ConnLe(a.k, dagger_term(a.term))
         raise TransformError(f"cannot rewrite atom {a!r}")
 
-    return _map_atoms(f, expand)
+    return F.fold(f, expand, _rebuild)
 
 
 # ---------------------------------------------------------------------------
@@ -200,12 +196,9 @@ def eliminate_count_pos(f: Formula) -> Formula:
         raise TransformError("count elimination applies to set-operator formulas")
     fresh = FreshVars(f)
 
-    def pred(g, polarity):
-        if isinstance(g, Not) and isinstance(g.arg, ConnLe):
-            return polarity > 0
-        if isinstance(g, ConnLe):
-            return polarity > 0
-        return False
+    def pred(g, positive):
+        return positive and isinstance(g.arg if isinstance(g, Not) else g,
+                                       ConnLe)
 
     def builder(g):
         if isinstance(g, ConnLe):
@@ -232,7 +225,7 @@ def relativize(f: Formula, s: str) -> Formula:
     """Replace every maximal term tau by s*tau."""
     sv = Var(s)
 
-    def expand(a):
+    def expand(a, _):
         if isinstance(a, Eq):
             return Eq(Prod(sv, a.left), Prod(sv, a.right))
         if isinstance(a, Contact):
@@ -245,7 +238,7 @@ def relativize(f: Formula, s: str) -> Formula:
             return ConnLe(a.k, Prod(sv, a.term))
         raise TransformError(f"not an atom: {a!r}")
 
-    return _map_atoms(f, expand)
+    return F.fold(f, expand, _rebuild)
 
 
 def _epsilon(f: Formula) -> Formula:
@@ -267,8 +260,8 @@ def eliminate_contact_pos(f: Formula,
     t, t1, t2 = fresh.next(), fresh.next(), fresh.next()
     target = [None]
 
-    def pred(g, polarity):
-        return isinstance(g, Contact) and len(g.terms) == 2 and polarity > 0
+    def pred(g, positive):
+        return positive and isinstance(g, Contact) and len(g.terms) == 2
 
     def builder(g):
         target[0] = g
@@ -294,9 +287,9 @@ def eliminate_contact_neg(f: Formula, connected: bool = False,
     s, t, t1, t2 = fresh.next(), fresh.next(), fresh.next(), fresh.next()
     target = [None]
 
-    def pred(g, polarity):
-        return (isinstance(g, Not) and isinstance(g.arg, Contact)
-                and len(g.arg.terms) == 2 and polarity > 0)
+    def pred(g, positive):
+        return (positive and isinstance(g, Not) and isinstance(g.arg, Contact)
+                and len(g.arg.terms) == 2)
 
     def builder(g):
         target[0] = g.arg
@@ -348,7 +341,7 @@ def eq_normalize(f: Formula, family: Optional[str]) -> Formula:
 
     set_family = family == "set"
 
-    def expand(a):
+    def expand(a, _):
         if not isinstance(a, Eq):
             return a
         if isinstance(a.right, Zero):
@@ -365,7 +358,7 @@ def eq_normalize(f: Formula, family: Optional[str]) -> Formula:
                        Prod(a.right, Compl(a.left)))
         return Eq(diff, ZERO)
 
-    return _map_atoms(f, expand)
+    return F.fold(f, expand, _rebuild)
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +439,7 @@ def fp_translate(f: Formula):
     if tag not in ("B", "Bc"):
         raise TransformError(f"translation takes B/Bc input, got {tag}")
 
-    def go(g):
+    def atom(g, _):
         if isinstance(g, Eq):
             return FPNot(DiamondF(DiamondP(FPNot(_fp_iff(_fp_term(g.left),
                                                          _fp_term(g.right))))))
@@ -454,17 +447,10 @@ def fp_translate(f: Formula):
             p = _fp_term(g.term)
             return FPNot(DiamondF(DiamondP(
                 FPAnd(p, DiamondF(FPAnd(FPNot(p), DiamondF(p)))))))
-        if isinstance(g, Not):
-            return FPNot(go(g.arg))
-        if isinstance(g, And):
-            return FPAnd(go(g.left), go(g.right))
-        if isinstance(g, Or):
-            return FPOr(go(g.left), go(g.right))
-        if isinstance(g, Implies):
-            return FPImp(go(g.left), go(g.right))
         raise TransformError(f"cannot translate {g!r}")
 
-    return go(f)
+    connective = {Not: FPNot, And: FPAnd, Or: FPOr, Implies: FPImp}
+    return F.fold(f, atom, lambda g, _, *values: connective[type(g)](*values))
 
 
 def fp_print(g) -> str:
@@ -475,7 +461,11 @@ def fp_print(g) -> str:
     if isinstance(g, FPBot):
         return "false"
     if isinstance(g, FPNot):
-        return f"!{fp_print(g.arg)}"
+        bangs = ""      # a run of ! is read in a loop, however long
+        while isinstance(g, FPNot):
+            bangs += "!"
+            g = g.arg
+        return bangs + fp_print(g)
     if isinstance(g, FPAnd):
         return f"({fp_print(g.left)} & {fp_print(g.right)})"
     if isinstance(g, FPOr):

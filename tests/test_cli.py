@@ -418,3 +418,21 @@ def test_generate_tree_bad_spec(capsys, monkeypatch, tmp_path, spec):
                           str(tmp_path / "t")])
     assert code == 1 and out == ""
     assert err.startswith("error: bad tree specification: ")
+
+
+@pytest.mark.parametrize("base", ["EC(a, b)", "a = 0"])
+def test_a_deep_run_of_negations_on_every_command(capsys, monkeypatch, base):
+    # 5,000 nested ! reach every pass that reads the Boolean structure;
+    # an even number of them leaves the atom's truth as it is
+    text = "!" * 5000 + base + "\n"
+    for argv, want in ((["sat"], 10), (["sat", "--frame", "conregc"], 10),
+                       (["valid"], 10), (["valid", "--frame", "conregc"], 10)):
+        code, out, err = run(capsys, monkeypatch,
+                             [*argv, "--deterministic"], stdin=text)
+        assert (code, err) == (want, "")
+        assert out.split()[0] == ("SAT" if argv[0] == "sat" else "NOT_VALID")
+    targets = ["nnf", "rcc8", "dagger", "no-contact", "no-contact-connected"]
+    for target in targets + (["fp"] if base == "a = 0" else []):
+        code, out, err = run(capsys, monkeypatch, ["translate", "--to", target],
+                             stdin=text)
+        assert (code, err) == (0, "") and out.strip()

@@ -436,6 +436,85 @@ def test_literal_sets_of_a_deep_skeleton():
     assert list(F.literal_sets(f)) == [((a, True), (b, False))]
 
 
+_FOLD_ATOMS = [parse("a = 0"), parse("C(a, b)"), parse("conn(b)")]
+
+
+def _rand_boolean(rng, depth):
+    """A random formula over `_FOLD_ATOMS` with !, &, | and -> nested up
+    to `depth` deep, some of its & and | as balanced chains."""
+    roll = rng.random()
+    if depth == 0 or roll < 0.15:
+        return rng.choice(_FOLD_ATOMS)
+    if roll < 0.4:
+        return Not(_rand_boolean(rng, depth - 1))
+    if roll < 0.55:
+        return rng.choice([conj, disj])(
+            [_rand_boolean(rng, depth - 1) for _ in range(rng.randint(1, 4))])
+    cls = rng.choice([And, Or, Implies])
+    return cls(_rand_boolean(rng, depth - 1), _rand_boolean(rng, depth - 1))
+
+
+def _fold_reference(g, positive, atom, make, at):
+    """`F.fold` written as the plain recursion it replaces."""
+    if at is not None:
+        value = at(g, positive)
+        if value is not None:
+            return value
+    if isinstance(g, F.ATOM_CLASSES):
+        return atom(g, positive)
+    if isinstance(g, Not):
+        return make(g, positive,
+                    _fold_reference(g.arg, not positive, atom, make, at))
+    left = _fold_reference(g.left, positive != isinstance(g, Implies),
+                           atom, make, at)
+    return make(g, positive, left,
+                _fold_reference(g.right, positive, atom, make, at))
+
+
+def test_fold_matches_a_recursive_reference(rng):
+    for _ in range(300):
+        f = _rand_boolean(rng, rng.randint(0, 7))
+        # an identity rebuild gives back an equal formula, or f itself
+        assert F.fold(f, lambda a, _: a,
+                      lambda g, _, *values: type(g)(*values)) == f
+        assert F.fold(f, lambda a, _: a, lambda g, _, *values: g) is f
+        # every node in the same preorder with the same polarity; atoms
+        # and connectives in the same postorder, given the same operands
+        runs = []
+        for walk in (lambda *args: F.fold(f, *args),
+                     lambda *args: _fold_reference(f, True, *args)):
+            seen, built = [], []
+
+            def atom(a, positive):
+                built.append((print_formula(a), positive))
+                return print_formula(a) if positive else "~" + print_formula(a)
+
+            def make(g, positive, *values):
+                built.append((type(g).__name__, positive, values))
+                return (type(g).__name__, positive, values)
+
+            def at(g, positive):
+                seen.append((print_formula(g), positive))
+                # cut at every negatively read | and positively read !
+                if isinstance(g, Or if not positive else Not):
+                    return ("cut", print_formula(g), positive)
+                return None
+
+            whole = walk(atom, make, None)
+            cut = walk(atom, make, at)
+            runs.append((whole, cut, seen, built))
+        assert runs[0] == runs[1]
+
+
+def test_fold_rejects_a_foreign_node():
+    keep = lambda a, _: a
+    rebuild = lambda g, _, *values: type(g)(*values)
+    for bad in (And(parse("a = 0"), "a = 0"), Not(Var("a")),
+                Implies(None, parse("a = 0")), parse("a = 0").left):
+        with pytest.raises(FormulaError, match="not a formula"):
+            F.fold(bad, keep, rebuild)
+
+
 def _rand_gates(rng, leaves, count):
     """A `KleeneGates` with `leaves` leaves, the two constants and `count`
     random gates over earlier ones, which often share operands; and each

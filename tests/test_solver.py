@@ -918,6 +918,20 @@ def test_deep_term_on_every_route():
     assert r.status == "SAT" and r.method == "bounded"
 
 
+@pytest.mark.xfail(strict=True, raises=RecursionError,
+                   reason="_unit_conflict hashes a conjunct, and hashing a "
+                          "frozen dataclass recurses")
+@pytest.mark.parametrize("frame_class, base", [
+    ("all", "a = 0"), ("con", "a = 0"), ("fence", "a = 0"),
+    ("regc", "conn(a)")])
+def test_deep_negations_on_the_bounded_route(frame_class, base):
+    # the fork route takes 5,000 nested ! (tests/test_transform.py); the
+    # bounded route's unit step hashes the run, 1,000 deep already
+    f = parse("!" * 1000 + base)
+    r = solve(f, frame_class, 2)
+    assert r.status == "SAT" and holds(r.certificate, f).truth
+
+
 def _unfinishable():
     """An unsatisfiable formula the bounded search cannot finish within a
     second at 5 points: the accepting machine's formula over five tape

@@ -163,3 +163,28 @@ def test_fp_modelcheck_matches_semantics(rng):
         truth = holds(model, f).truth
         for i in range(2 * n - 1):
             assert T.fp_modelcheck(model, g, i) == truth
+
+
+# 5,000 nested ! before an atom: every pass over the Boolean structure
+# reads it with an explicit stack or a loop. Deep results are compared by
+# their printed text, since comparing deep formulas recurses.
+DEEP = 5000
+
+
+@pytest.mark.parametrize("base", ["EC(a, b)", "a = 0", "a = b"])
+def test_rewrites_take_a_deep_run_of_negations(base):
+    f, shallow = parse("!" * DEEP + base), parse("!!" + base)
+    # a rewrite of the atom under the run of ! prints as it does under two
+    for rewrite in (lambda g: g, T.rcc8_to_c, T.dagger,
+                    lambda g: T.eq_normalize(g, None)):
+        want = "!" * (DEEP - 2) + F.print_formula(rewrite(shallow))
+        assert F.print_formula(rewrite(f)) == want
+    # an even number of ! cancels out
+    assert F.print_formula(T.nnf(f)) == base
+    assert F.print_formula(T.eliminate_contacts(f)) == F.print_formula(
+        T.eliminate_contacts(parse(base)))
+    assert list(F.literal_sets(f)) == list(F.literal_sets(parse(base)))
+    for frame_class in ("regc", "conregc"):
+        r = solve(f, frame_class)
+        assert r.status == "SAT" and r.method == "forks"
+        assert holds(r.certificate, f).truth
