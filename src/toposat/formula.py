@@ -4,7 +4,9 @@ terms and formulas.
 Two term families share one grammar: the regular-closed algebra
 (Sum/Prod/Compl, written + * -) and raw set operators
 (Union/Inter/SetCompl/Interior/Closure, written v ^ ~ int cl).
-Mixing the two families inside one formula is rejected.
+Mixing the two families inside one formula is rejected. Every node is
+a frozen dataclass with slots: it carries no instance dict, and equal
+nodes compare and hash alike, however they were built.
 
 `fold` is the one walk over a formula's Boolean structure (!, &, |, ->)
 that every pass rewriting or compiling it runs on: the skeleton here,
@@ -39,65 +41,67 @@ class ParseError(FormulaError):
 class Term:
     """Base class for region terms."""
 
+    __slots__ = ()
+
     def __str__(self):
         return print_term(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var(Term):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Zero(Term):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class One(Term):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sum(Term):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Prod(Term):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Compl(Term):
     arg: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Union(Term):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Inter(Term):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SetCompl(Term):
     arg: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Interior(Term):
     arg: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Closure(Term):
     arg: Term
 
@@ -118,17 +122,19 @@ RCC8_RELATIONS = ("DC", "EC", "PO", "EQ", "TPP", "NTPP", "TPPi", "NTPPi")
 class Formula:
     """Base class for formulas."""
 
+    __slots__ = ()
+
     def __str__(self):
         return print_formula(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Eq(Formula):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Contact(Formula):
     terms: Tuple[Term, ...]
 
@@ -137,7 +143,7 @@ class Contact(Formula):
             raise FormulaError("contact needs at least two terms")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Rcc8(Formula):
     rel: str
     left: Term
@@ -148,12 +154,12 @@ class Rcc8(Formula):
             raise FormulaError(f"unknown relation {self.rel!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Conn(Formula):
     term: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConnLe(Formula):
     k: int
     term: Term
@@ -163,24 +169,24 @@ class ConnLe(Formula):
             raise FormulaError("conn_le requires k >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Not(Formula):
     arg: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Implies(Formula):
     left: Formula
     right: Formula
@@ -385,14 +391,14 @@ def _family_of(t: Term, pure: Set[int]) -> Optional[str]:
     return family
 
 
-def _atom_families(f: Formula, pure: Set[int]
+def _atom_families(atoms: Iterable[Formula], pure: Set[int]
                    ) -> Iterator[Tuple[Formula, Optional[str]]]:
-    """Each atom of f, left to right, with the family of f's terms up to
+    """Each of the atoms, in order, with the family of their terms up to
     and including its own (`pure` as in `_family_of`). Raises at the
     first term, in that order, that mixes the families or differs from
     the terms before it."""
     family = None
-    for a in atoms(f):
+    for a in atoms:
         for t in terms_of_atom(a):
             new = _family_of(t, pure)
             if new is not None and new != family:
@@ -404,7 +410,7 @@ def _atom_families(f: Formula, pure: Set[int]
 
 def formula_family(f: Formula) -> Optional[str]:
     family = None
-    for _, family in _atom_families(f, set()):
+    for _, family in _atom_families(atoms(f), set()):
         pass
     return family
 
@@ -426,7 +432,7 @@ def language(f: Formula) -> Tuple[str, Optional[str]]:
     rcc8_vars_only = True
     max_arity = 0
     suffix = ""
-    for a, family in _atom_families(f, set()):
+    for a, family in _atom_families(atoms(f), set()):
         if isinstance(a, Eq):
             has_eq = True
         elif isinstance(a, Contact):
@@ -689,7 +695,9 @@ class _Parser:
     (`share`), so a parsed formula is a DAG in which equal subterms are
     one object. A run of "!" or of prefix term operators is read in a
     loop, and sums and products in `parse_term` and `parse_product`, so
-    each level of parentheses costs at most four stack frames."""
+    each level of parentheses costs at most four stack frames. `atoms`
+    holds every atom read, in the order of the text, so that `parse`
+    checks their families without walking the finished formula."""
 
     def __init__(self, text):
         self.text = text
@@ -697,6 +705,7 @@ class _Parser:
         self.pos = 0
         self.nodes: Dict[tuple, object] = {}
         self.pure: Set[int] = set()   # see _family_of
+        self.atoms: List[Formula] = []
 
     def run(self, start):
         """start(), which must read the whole text; a syntax error raises
@@ -770,6 +779,7 @@ class _Parser:
         # terms also start with "(" inside atoms, so try formula first.
         if kinds[pos] == "(":
             self.pos = pos + 1
+            read = len(self.atoms)
             try:
                 f = self.parse_imp()
             except _Fail:
@@ -779,6 +789,7 @@ class _Parser:
                 self.pos += 1
             else:
                 f = None
+                del self.atoms[read:]   # read again as terms of an atom
         if f is None:
             self.pos = pos
             f = self.parse_atom()
@@ -807,6 +818,7 @@ class _Parser:
             meet, compl = _LEQ_OPERATORS[fam]
             t1, t2 = self.share(meet, t1, self.share(compl, t2)), ZERO
         f = self.share(Eq, t1, t2)
+        self.atoms.append(f)
         return self.share(Not, f) if op == "!=" else f
 
     def parse_predicate(self, kind):
@@ -842,23 +854,25 @@ class _Parser:
         if kinds[self.pos] != ")":
             raise _Fail(self.pos, "expected ')'", True)
         self.pos += 1
+        t = ts[0]
         if kind == "C":
             if len(ts) < 2:
                 raise _Fail(at, "C needs at least two arguments", False)
-            return self.shared((Contact, *map(id, ts)), Contact, tuple(ts))
-        t = ts[0]
-        if kind == "conn":
-            return self.share(Conn, t)
-        if kind == "conn_le":
+            a = self.shared((Contact, *map(id, ts)), Contact, tuple(ts))
+        elif kind == "conn":
+            a = self.share(Conn, t)
+        elif kind == "conn_le":
             if k < 1:
                 raise _Fail(at, "conn_le requires k >= 1", False)
-            return self.shared((ConnLe, k, id(t)), ConnLe, k, t)
-        if kind == "conn_ge":
+            a = self.shared((ConnLe, k, id(t)), ConnLe, k, t)
+        elif kind == "conn_ge":
             if k < 2:
                 raise _Fail(at, "conn_ge requires k >= 2", False)
-            return self.share(Not, self.shared((ConnLe, k - 1, id(t)),
-                                               ConnLe, k - 1, t))
-        return self.shared((Rcc8, kind, *map(id, ts)), Rcc8, kind, *ts)
+            a = self.shared((ConnLe, k - 1, id(t)), ConnLe, k - 1, t)
+        else:
+            a = self.shared((Rcc8, kind, *map(id, ts)), Rcc8, kind, *ts)
+        self.atoms.append(a)
+        return self.share(Not, a) if kind == "conn_ge" else a
 
     def parse_term(self):
         """Products joined by + or v, to the left; each node is shared
@@ -937,12 +951,13 @@ def parse(text: str) -> Formula:
     of the result are one object."""
     parser = _Parser(text)
     f = parser.run(parser.parse_imp)
-    set_contact = False
-    for a, _ in _atom_families(f, parser.pure):
-        if isinstance(a, (Contact, Rcc8)) and not set_contact:
-            set_contact = any(_FAMILY.get(type(t)) == "set"
-                              for t in terms_of_atom(a))
-    if set_contact:
+    family = None
+    for _, family in _atom_families(parser.atoms, parser.pure):
+        pass
+    # a set term in a contact makes the family "set": only then look for one
+    if family == "set" and any(
+            _FAMILY.get(type(t)) == "set" for a in parser.atoms
+            if isinstance(a, (Contact, Rcc8)) for t in terms_of_atom(a)):
         raise FormulaError("contact predicates take regular-closed terms only")
     return f
 
@@ -1028,9 +1043,14 @@ def print_formula(f: Formula) -> str:
         # & and | are associative, so a chain prints flat however it nests
         if kind is And or kind is Or:
             op = " & " if kind is And else " | "
-            s = go(g.left, prec) + op + go(g.right, prec)
+            s = op.join([go(h, prec) for h in operands(g, kind)])
         elif kind is Implies:
-            s = go(g.left, prec + 1) + " -> " + go(g.right, prec)
+            parts = []      # -> associates to the right: read its spine
+            while type(g) is Implies:
+                parts.append(go(g.left, prec + 1))
+                g = g.right
+            parts.append(go(g, prec))
+            s = " -> ".join(parts)
         else:
             raise FormulaError(f"not a formula: {g!r}")
         return "(" + s + ")" if prec < parent_prec else s

@@ -75,9 +75,11 @@ class QuasiOrderFrame:
             if u not in self.points or v not in self.points:
                 raise FrameError(f"edge ({u},{v}) mentions unknown point")
         self.succ: Dict[str, PointSet] = _reflexive_transitive_closure(self.points, edges)
-        self.pred: Dict[str, PointSet] = {
-            p: frozenset(q for q in self.points if p in self.succ[q]) for p in self.points
-        }
+        pred: Dict[str, List[str]] = {p: [] for p in self.points}
+        for p, above in self.succ.items():
+            for q in above:
+                pred[q].append(p)
+        self.pred: Dict[str, PointSet] = {p: frozenset(qs) for p, qs in pred.items()}
 
     def check_subset(self, X: PointSet):
         if not X <= self.points:
@@ -89,7 +91,7 @@ class QuasiOrderFrame:
 
     def closure(self, X: PointSet) -> PointSet:
         self.check_subset(X)
-        return frozenset(x for x in self.points if self.succ[x] & X)
+        return frozenset().union(*[self.pred[x] for x in X])
 
     def complement(self, X: PointSet) -> PointSet:
         self.check_subset(X)
@@ -99,23 +101,30 @@ class QuasiOrderFrame:
         return X == self.closure(self.interior(X))
 
     def components(self, X: PointSet) -> List[PointSet]:
-        """Maximal connected pieces of X under the undirected order graph."""
+        """Maximal connected pieces of X under the undirected order graph,
+        each by its least point. The points of X are visited in order and a
+        search starts from each one no earlier search reached, so each
+        point is reached once and each piece is found from its least one."""
         self.check_subset(X)
-        remaining = set(X)
+        succ, pred = self.succ, self.pred
+        reached = set()
         out = []
-        while remaining:
-            seed = min(remaining)
-            comp = {seed}
+        for seed in sorted(X):
+            if seed in reached:
+                continue
+            reached.add(seed)
+            comp = [seed]
             frontier = [seed]
             while frontier:
                 x = frontier.pop()
-                for y in (self.succ[x] | self.pred[x]) & X:
-                    if y not in comp:
-                        comp.add(y)
-                        frontier.append(y)
-            remaining -= comp
+                for near in (succ[x], pred[x]):
+                    for y in near & X:
+                        if y not in reached:
+                            reached.add(y)
+                            comp.append(y)
+                            frontier.append(y)
             out.append(frozenset(comp))
-        return sorted(out, key=lambda c: min(c))
+        return out
 
     def is_connected(self) -> bool:
         return len(self.components(self.points)) <= 1

@@ -12,9 +12,9 @@ from functools import reduce
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from . import formula as F
-from .formula import (And, Compl, Conn, ConnLe, Contact, Eq, Formula, Inter,
-                      Not, One, Prod, SetCompl, Sum, Term, Var, Zero,
-                      conj, leq, neq)
+from .formula import (ONE, ZERO, And, Compl, Conn, ConnLe, Contact, Eq,
+                      Formula, Inter, Not, One, Prod, SetCompl, Sum, Term,
+                      Var, Zero, conj, leq, neq)
 from .frames import Model, QuasiSawFrame, make_fence, make_fork_frame
 from .semantics import holds
 
@@ -252,37 +252,38 @@ def gen_tm_formula(m: TuringMachine, word: Sequence[str]) -> Formula:
     B = _b_vars()
     T = [[_tile_var(k, i) for i in range(1, s + 1)] for k in range(len(tiles))]
     ks = range(len(tiles))
+    # BT[l][k][i] is B[l] * T[k][i], built once for all the contacts
+    BT = [[[Prod(b, t) for t in row] for row in T] for b in B]
     out: List[Formula] = []
     # every depth-0 point carries exactly one direction colour
-    out.append(Eq(reduce(Sum, B), One()))
-    out.extend(Eq(Prod(B[l], B[(l + 1) % 3]), Zero()) for l in range(3))
+    out.append(Eq(reduce(Sum, B), ONE))
+    out.extend(Eq(Prod(B[l], B[(l + 1) % 3]), ZERO) for l in range(3))
     # and exactly one tile per tape row, vertically consistent
     for i in range(s):
-        out.append(Eq(reduce(Sum, [T[k][i] for k in ks]), One()))
+        out.append(Eq(reduce(Sum, [T[k][i] for k in ks]), ONE))
     for i in range(s):
         for k1, k2 in itertools.combinations(ks, 2):
-            out.append(Eq(Prod(T[k1][i], T[k2][i]), Zero()))
+            out.append(Eq(Prod(T[k1][i], T[k2][i]), ZERO))
     for i in range(s - 1):
         for k1 in ks:
             for k2 in ks:
                 if tiles[k1].top != tiles[k2].bot:
-                    out.append(Eq(Prod(T[k1][i], T[k2][i + 1]), Zero()))
+                    out.append(Eq(Prod(T[k1][i], T[k2][i + 1]), ZERO))
     for k in ks:
         if tiles[k].bot != BOT:
-            out.append(Eq(T[k][0], Zero()))
+            out.append(Eq(T[k][0], ZERO))
         if tiles[k].top != TOP:
-            out.append(Eq(T[k][s - 1], Zero()))
+            out.append(Eq(T[k][s - 1], ZERO))
     # neighbouring points one direction apart chain their configurations
     for i in range(s):
         for l in range(3):
             for k1 in ks:
                 for k2 in ks:
                     if tiles[k1].right != tiles[k2].left:
-                        out.append(Not(Contact((Prod(B[l], T[k1][i]),
-                                                Prod(B[(l + 1) % 3], T[k2][i])))))
+                        out.append(Not(Contact((BT[l][k1][i],
+                                                BT[(l + 1) % 3][k2][i]))))
             for k1, k2 in itertools.combinations(ks, 2):
-                out.append(Not(Contact((Prod(B[l], T[k1][i]),
-                                        Prod(B[l], T[k2][i])))))
+                out.append(Not(Contact((BT[l][k1][i], BT[l][k2][i]))))
     # anchors: some point reads the initial configuration on the left
     # and some point writes the accepting configuration on the right; a
     # side-only match stands in when no column fits
@@ -294,7 +295,7 @@ def gen_tm_formula(m: TuringMachine, word: Sequence[str]) -> Formula:
         if None in column:
             raise GadgetError("no tile matches the target configuration")
         out.append(neq(reduce(Prod, [T[tiles.index(t)][i]
-                                    for i, t in enumerate(column)]), Zero()))
+                                    for i, t in enumerate(column)]), ZERO))
     return conj(out)
 
 

@@ -122,8 +122,9 @@ def holds(model: Model, f: F.Formula, trace: bool = False) -> Verdict:
     """The truth of f in model, each distinct subterm (by identity)
     evaluated once. Without `trace`, And and Or stop at the first operand
     that decides them; with it, every atom is evaluated and the verdict's
-    `trace` maps each atom to its truth. And and Or chains, and runs of
-    !, are walked without recursion, however long."""
+    `trace` maps each atom to its truth. And and Or chains, runs of !
+    and right-nested -> chains are walked without recursion, however
+    long; every operand of a -> chain is evaluated, left to right."""
     check_family(model, f)
     record = {} if trace else None
     memo: Dict[int, PointSet] = {}
@@ -150,9 +151,12 @@ def holds(model: Model, f: F.Formula, trace: bool = False) -> Verdict:
                 flip, g = not flip, g.arg
             return go(g) != flip
         if isinstance(g, F.Implies):
-            left = go(g.left)
-            right = go(g.right)
-            return (not left) or right
+            lefts = []      # a right-nested -> chain is read in a loop
+            while isinstance(g, F.Implies):
+                lefts.append(go(g.left))
+                g = g.right
+            right = go(g)
+            return right or not all(lefts)
         raise SemanticsError(f"not a formula: {g!r}")
 
     return Verdict(go(f), record)

@@ -420,6 +420,26 @@ def test_generate_tree_bad_spec(capsys, monkeypatch, tmp_path, spec):
     assert err.startswith("error: bad tree specification: ")
 
 
+def test_a_long_implication_chain_through_the_cli(capsys, monkeypatch):
+    # the certificate re-check reads the -> chain in a loop, and the
+    # printer prints it and its | chain in normal form without recursing
+    def chain(n):
+        return " -> ".join(f"a{i} = 0" for i in range(n)) + "\n"
+
+    code, out, err = run(capsys, monkeypatch, ["sat", "--deterministic"],
+                         stdin=chain(1200))
+    assert (code, err) == (10, "") and out.split()[0] == "SAT"
+    text = chain(3000)
+    code, out, err = run(capsys, monkeypatch, ["translate", "--to", "nnf"],
+                         stdin=text)
+    assert (code, err) == (0, "")
+    assert out == " | ".join([f"a{i} != 0" for i in range(2999)]
+                             + ["a2999 = 0"]) + "\n"
+    code, out, err = run(capsys, monkeypatch, ["translate", "--to", "rcc8"],
+                         stdin=text)
+    assert (code, out, err) == (0, text, "")
+
+
 @pytest.mark.parametrize("base", ["EC(a, b)", "a = 0"])
 def test_a_deep_run_of_negations_on_every_command(capsys, monkeypatch, base):
     # 5,000 nested ! reach every pass that reads the Boolean structure;

@@ -8,9 +8,12 @@ When parse outcomes change on purpose, write the file again with
     PYTHONPATH=src python tests/test_formula.py --write
 """
 
+import copy
+import dataclasses
 import hashlib
 import itertools
 import json
+import pickle
 import random
 import sys
 from pathlib import Path
@@ -300,6 +303,31 @@ def test_family_errors_keep_their_order():
     f = parse("C(a, b) & ~a = 0")
     with pytest.raises(FormulaError, match="contact predicates"):
         F.classify(f)
+
+
+def test_parse_checks_the_atoms_it_read(monkeypatch):
+    # parse checks families over the atoms the parser read, in the order
+    # of the text, and walks no finished formula to find them again
+    from toposat import gadgets
+    calls = []
+    walk = F.atoms
+
+    def spied(f):
+        calls.append(f)
+        return walk(f)
+
+    monkeypatch.setattr(F, "atoms", spied)
+    text = print_formula(gadgets.gen_tm_formula(gadgets.tm_accepter(), ()))
+    for source in (text, "(a + b) * c = 0 & (a = 0 | (b) = 0)",
+                   "((a = 0)) -> !conn_ge(2, a) & EC(a, b) | a <= b"):
+        f = parse(source)
+        assert calls == []
+    assert F.formula_family(f) == "rc" and len(calls) == 1
+    # a parenthesized formula read again as a term leaves no atom behind
+    parser = F._Parser("((a = 0) + b = 0) & c = 0")
+    with pytest.raises(ParseError):
+        parser.run(parser.parse_imp)
+    assert parser.atoms == []
 
 
 def test_family_purity():
@@ -608,6 +636,37 @@ def test_kleene_searches_interleave(rng):
                 # a gate over a leaf both searches assign, and its negation
                 k = gates.meet(made[rng.randrange(4)][1], rng.choice(made)[1])
                 gates.neg(k)
+
+
+def test_nodes_are_slotted_and_frozen():
+    # no node carries an instance dict; equality, hashing, immutability,
+    # copying and pickling are those of a frozen dataclass
+    from smoke import one_node_of_each_class
+    for node in one_node_of_each_class():
+        assert not hasattr(node, "__dict__"), type(node)
+        for field in dataclasses.fields(node):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(node, field.name, getattr(node, field.name))
+        for twin in (copy.deepcopy(node), pickle.loads(pickle.dumps(node))):
+            assert twin == node and hash(twin) == hash(node)
+            assert type(twin) is type(node) and repr(twin) == repr(node)
+
+
+def test_a_long_implication_chain_prints_in_a_loop():
+    # -> chains along their right spine and & and | chains from their
+    # operands, however they nest; texts are compared, as == recurses
+    text = " -> ".join(f"a{i} = 0" for i in range(3000))
+    assert roundtrip(text) == text
+    atoms = [Eq(Var(f"a{i}"), Zero()) for i in range(3000)]
+    right_nested = atoms[-1]
+    for a in reversed(atoms[:-1]):
+        right_nested = Or(Not(a), right_nested)
+    assert print_formula(right_nested) == " | ".join(
+        [f"a{i} != 0" for i in range(2999)] + ["a2999 = 0"])
+    assert roundtrip("(a = 0 -> b = 0) -> (c = 0 | d = 0 -> e = 0) -> "
+                     "f = 0 & (g = 0 -> h = 0)") == (
+        "(a = 0 -> b = 0) -> (c = 0 | d = 0 -> e = 0) -> "
+        "f = 0 & (g = 0 -> h = 0)")
 
 
 def test_contact_arity_guard():

@@ -1,6 +1,7 @@
 """Frame topology, quasi-saw shape, and serialization tests."""
 
 import json
+import random
 
 import pytest
 
@@ -8,6 +9,61 @@ from toposat.frames import (FrameError, LoadError, Model, QuasiOrderFrame,
                             QuasiSawFrame, as_quasi_saw, broom, connectify,
                             fence_cells, load_model, make_fence,
                             make_fork_frame, model_to_json, subspace_model)
+
+
+def _brute_components(frame, X):
+    """The pieces of X, each grown by passes over all of X until no point
+    joins, listed by their least points."""
+    out, left = [], set(X)
+    while left:
+        comp = {min(left)}
+        grown = True
+        while grown:
+            near = {y for y in left - comp for x in comp
+                    if y in frame.succ[x] or x in frame.succ[y]}
+            grown = bool(near)
+            comp |= near
+        left -= comp
+        out.append(frozenset(comp))
+    return sorted(out, key=min)
+
+
+def _frames_to_check(rng):
+    for _ in range(60):   # random quasi-orders: cycles make clusters
+        n = rng.randint(1, 9)
+        points = [f"p{i}" for i in range(n)]
+        edges = [(a, b) for a in points for b in points
+                 if a != b and rng.random() < 0.15]
+        yield QuasiOrderFrame(points, edges)
+    for _ in range(30):
+        teeth = [f"t{i}" for i in range(rng.randint(1, 6))]
+        succ1 = {f"z{j}": set(rng.sample(teeth, rng.randint(1, len(teeth))))
+                 for j in range(rng.randint(0, 4))}
+        yield QuasiSawFrame(teeth, succ1, succ1)
+    for n in (1, 2, 5, 12):
+        yield make_fence(n)
+    for ks in ([1], [3], [2, 1, 4], [3] * 8):
+        yield make_fork_frame(ks)
+
+
+def test_topology_matches_brute_force_definitions():
+    # pred, closure, interior, components (their order too) and
+    # connectedness against their definitions, point by point
+    rng = random.Random(7)
+    for frame in _frames_to_check(rng):
+        points = sorted(frame.points)
+        assert frame.pred == {p: frozenset(q for q in points
+                                           if p in frame.succ[q])
+                              for p in points}
+        subsets = [frozenset(), frame.points] + [
+            frozenset(p for p in points if rng.random() < 0.5)
+            for _ in range(12)]
+        for X in subsets:
+            assert frame.closure(X) == {x for x in points if frame.succ[x] & X}
+            assert frame.interior(X) == {x for x in X if frame.succ[x] <= X}
+            assert frame.components(X) == _brute_components(frame, X)
+        assert frame.is_connected() == (
+            len(_brute_components(frame, frame.points)) <= 1)
 
 
 def fork2():

@@ -55,6 +55,16 @@ def test_tm_formula_variable_count():
         assert F.classify(f) == "C"
 
 
+def test_tm_formula_builds_each_contact_product_once():
+    # the contacts' products B[l] * T[k][i] come from one table, so equal
+    # contact terms are one object: 3 colours x 30 tiles x 2 cells
+    f = gen_tm_formula(tm_accepter(), ())
+    terms = [t for a in F.atoms(f) if isinstance(a, F.Contact)
+             for t in a.terms]
+    assert len(terms) == 14712
+    assert len(set(terms)) == len({id(t) for t in terms}) == 180
+
+
 def test_tm_witness_satisfies_formula():
     m = tm_accepter()
     for word in ((), ("a",), ("a", "a")):

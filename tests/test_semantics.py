@@ -123,6 +123,21 @@ def test_empty_space_eval():
 # ---------------------------------------------------------------------------
 # The memoized checker against a per-atom reference
 
+def test_a_long_implication_chain_is_read_in_a_loop():
+    # every operand is evaluated, left to right, as the trace shows
+    n = 3000
+    f = parse(" -> ".join(f"a{i} = 0" for i in range(n)))
+    frame = QuasiSawFrame(["t"], [], {})
+    for empty in (set(range(n)), set(range(n - 1)), {n - 1}, set()):
+        model = Model(frame, {f"a{i}": frozenset() if i in empty else
+                              frame.points for i in range(n)})
+        verdict = holds(model, f, trace=True)
+        assert verdict.truth == (len(empty & set(range(n - 1))) < n - 1
+                                 or n - 1 in empty)
+        assert [a.left.name for a in verdict.trace] == [f"a{i}" for i in range(n)]
+        assert holds(model, f).truth == verdict.truth
+
+
 def _reference(model, f, record):
     """`holds` as a plain recursion that evaluates each atom occurrence on
     its own through `atom_truth`, with the same short-circuits; fills
